@@ -7,7 +7,8 @@ them all on one resident base DNN, and per-camera scoring pays 64 small
 (:class:`repro.core.batched.BatchedScorer`, ``FleetConfig.batched_scoring``)
 must be **at least 2x faster wall-clock** while producing a bit-identical
 :class:`FleetReport` — both are asserted here, and the numbers land in
-``BENCH_BATCHED.json`` through the ``perf_records`` fixture.
+``BENCH_BATCHED.json`` through the ``perf_records`` fixture, with each
+arm's absolute milliseconds per scored frame next to the ratio.
 
 Also recorded: the per-push pipeline overhead (scoring excluded), guarding
 the bind-time state-lookup hoist in ``StreamingPipeline`` against
@@ -123,10 +124,13 @@ def test_batched_dispatch_is_2x_faster_and_bit_identical(perf_records):
     assert scorer.batches_run < scorer.frames_batched
 
     speedup = secs_scalar / secs_batched
+    ms_per_frame_batched = secs_batched / rep_batched.frames_scored * 1e3
+    ms_per_frame_scalar = secs_scalar / rep_scalar.frames_scored * 1e3
     push_overhead = _measure_push_overhead()
     print(
         f"\n=== batched bench: {NUM_CAMERAS} cameras, one resident base DNN ===\n"
-        f"per-camera: {secs_scalar:.2f}s | batched: {secs_batched:.2f}s | "
+        f"per-camera: {secs_scalar:.2f}s ({ms_per_frame_scalar:.3f} ms/frame) | "
+        f"batched: {secs_batched:.2f}s ({ms_per_frame_batched:.3f} ms/frame) | "
         f"speedup {speedup:.2f}x\n"
         f"{scorer.frames_batched} frames in {scorer.batches_run} batches "
         f"(mean {scorer.frames_batched / scorer.batches_run:.1f}/batch) | "
@@ -138,6 +142,8 @@ def test_batched_dispatch_is_2x_faster_and_bit_identical(perf_records):
         "frames_scored": rep_batched.frames_scored,
         "wall_seconds_batched": secs_batched,
         "wall_seconds_per_camera": secs_scalar,
+        "ms_per_frame_batched": ms_per_frame_batched,
+        "ms_per_frame_per_camera": ms_per_frame_scalar,
         "speedup": speedup,
         "batches_run": scorer.batches_run,
         "mean_batch_size": scorer.frames_batched / scorer.batches_run,

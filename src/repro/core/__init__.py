@@ -20,8 +20,10 @@ from repro.core.batched import BatchedScorer
 from repro.core.architectures import (
     FullFrameObjectDetectorMC,
     LocalizedBinaryClassifierMC,
+    SequentialMC,
     WindowedLocalizedBinaryClassifierMC,
     build_microclassifier,
+    predict_proba_stacked,
 )
 from repro.core.events import Event, EventDetector, EventKey, EventRecord, SmoothedDecision
 from repro.core.layer_selection import LayerSelection, select_input_layer
@@ -46,6 +48,7 @@ __all__ = [
     "MicroClassifierConfig",
     "PipelineConfig",
     "PipelineResult",
+    "SequentialMC",
     "SmoothedDecision",
     "StreamUpdate",
     "StreamingKVotingSmoother",
@@ -55,6 +58,7 @@ __all__ = [
     "TransitionDetector",
     "WindowedLocalizedBinaryClassifierMC",
     "build_microclassifier",
+    "predict_proba_stacked",
     "select_input_layer",
     "train_classifier",
 ]

@@ -14,6 +14,10 @@
   is interesting.  The 1x1 reductions are computed once per frame and
   buffered, so the marginal per-frame cost stays low.
 
+The first two share :class:`SequentialMC` (one network, then a sigmoid),
+whose instances :func:`predict_proba_stacked` scores across cameras in one
+stacked forward.
+
 The exact channel widths of the figure correspond to full-scale MobileNet
 feature maps; the constructors accept the actual (possibly width-scaled)
 input shape and keep the figure's filter counts by default.
@@ -22,6 +26,7 @@ input shape and keep the figure's filter counts by default.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +41,13 @@ from repro.nn.layers import (
     ReLU6,
     SeparableConv2D,
 )
+from repro.nn.batched import batched_forward, model_signature
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.model import Sequential
 
 __all__ = [
+    "SequentialMC",
+    "predict_proba_stacked",
     "FullFrameObjectDetectorMC",
     "LocalizedBinaryClassifierMC",
     "WindowedLocalizedBinaryClassifierMC",
@@ -49,7 +57,71 @@ __all__ = [
 _SIGMOID = SigmoidBinaryCrossEntropy._sigmoid
 
 
-class FullFrameObjectDetectorMC(MicroClassifier):
+class SequentialMC(MicroClassifier):
+    """A microclassifier whose probability is ``sigmoid(model(x))``.
+
+    The shared base of the two single-network architectures (Figures 2a and
+    2b).  Their forward is one :class:`~repro.nn.model.Sequential`, so MCs
+    with equal :attr:`stack_signature` — one per camera, same architecture,
+    different weights — can be scored together by
+    :func:`predict_proba_stacked`.
+    """
+
+    def __init__(self, config: MicroClassifierConfig) -> None:
+        super().__init__(config)
+        self.model: Sequential | None = None
+        self.stack_signature: tuple | None = None
+
+    def _build_model(
+        self, layers: list, input_shape: tuple[int, int, int], rng: np.random.Generator
+    ) -> None:
+        self.model = Sequential(layers, input_shape=input_shape, rng=rng, name=self.name)
+        self.stack_signature = model_signature(self.model)
+        self.input_shape = tuple(input_shape)
+        self.built = True
+
+    def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
+        self._require_built()
+        return self.model.forward(feature_maps, training=training)
+
+    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
+        logits = self.forward_logits(np.asarray(feature_maps, dtype=np.float64), training=False)
+        return _SIGMOID(logits[:, 0])
+
+    def backward(self, grad_logits: np.ndarray) -> None:
+        self._require_built()
+        self.model.backward(grad_logits)
+
+    def parameters(self) -> list[Parameter]:
+        return self.model.parameters() if self.model is not None else []
+
+    def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
+        self._require_built()
+        return self.model.multiply_adds(input_shape)
+
+
+def predict_proba_stacked(mcs: Sequence[SequentialMC], feature_maps: np.ndarray) -> np.ndarray:
+    """Probability of ``mcs[i]`` for ``feature_maps[i]``, in one stacked forward.
+
+    Every MC must share one :attr:`~SequentialMC.stack_signature`.  Each
+    MC's weights are read at call time (no stacked copy is built), and
+    entry ``i`` is bit-identical to
+    ``mcs[i].predict_proba_batch(feature_maps[i:i+1])[0]``
+    (see :mod:`repro.nn.batched`).
+    """
+    signature = mcs[0].stack_signature
+    for mc in mcs:
+        mc._require_built()
+        if mc.stack_signature != signature:
+            raise ValueError(
+                f"MicroClassifier {mc.name!r} cannot be stacked with {mcs[0].name!r}: "
+                "their layer signatures differ"
+            )
+    logits = batched_forward([mc.model for mc in mcs], np.asarray(feature_maps, dtype=np.float64))
+    return _SIGMOID(logits[:, 0])
+
+
+class FullFrameObjectDetectorMC(SequentialMC):
     """Figure 2a: 1x1-convolution template matcher + max over logits.
 
     The figure applies a ReLU after the final single-filter convolution; we
@@ -69,7 +141,6 @@ class FullFrameObjectDetectorMC(MicroClassifier):
             raise ValueError("hidden_filters and num_hidden_layers must be positive")
         self.hidden_filters = int(hidden_filters)
         self.num_hidden_layers = int(num_hidden_layers)
-        self.model: Sequential | None = None
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         layers = []
@@ -78,31 +149,10 @@ class FullFrameObjectDetectorMC(MicroClassifier):
             layers.append(ReLU(name=f"{self.name}/relu_{i}"))
         layers.append(Conv2D(1, 1, name=f"{self.name}/logit_conv"))
         layers.append(GlobalMaxPool(name=f"{self.name}/max"))
-        self.model = Sequential(layers, input_shape=input_shape, rng=rng, name=self.name)
-        self.input_shape = tuple(input_shape)
-        self.built = True
-
-    def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
-        self._require_built()
-        return self.model.forward(feature_maps, training=training)
-
-    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
-        logits = self.forward_logits(np.asarray(feature_maps, dtype=np.float64), training=False)
-        return _SIGMOID(logits[:, 0])
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        self._require_built()
-        self.model.backward(grad_logits)
-
-    def parameters(self) -> list[Parameter]:
-        return self.model.parameters() if self.model is not None else []
-
-    def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        self._require_built()
-        return self.model.multiply_adds(input_shape)
+        self._build_model(layers, input_shape, rng)
 
 
-class LocalizedBinaryClassifierMC(MicroClassifier):
+class LocalizedBinaryClassifierMC(SequentialMC):
     """Figure 2b: two separable convolutions + a 200-unit FC head."""
 
     def __init__(
@@ -118,7 +168,6 @@ class LocalizedBinaryClassifierMC(MicroClassifier):
         self.first_depth = int(first_depth)
         self.second_depth = int(second_depth)
         self.fc_units = int(fc_units)
-        self.model: Sequential | None = None
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         layers = [
@@ -131,28 +180,7 @@ class LocalizedBinaryClassifierMC(MicroClassifier):
             ReLU6(name=f"{self.name}/relu6"),
             Dense(1, name=f"{self.name}/fc2"),
         ]
-        self.model = Sequential(layers, input_shape=input_shape, rng=rng, name=self.name)
-        self.input_shape = tuple(input_shape)
-        self.built = True
-
-    def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
-        self._require_built()
-        return self.model.forward(feature_maps, training=training)
-
-    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
-        logits = self.forward_logits(np.asarray(feature_maps, dtype=np.float64), training=False)
-        return _SIGMOID(logits[:, 0])
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        self._require_built()
-        self.model.backward(grad_logits)
-
-    def parameters(self) -> list[Parameter]:
-        return self.model.parameters() if self.model is not None else []
-
-    def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        self._require_built()
-        return self.model.multiply_adds(input_shape)
+        self._build_model(layers, input_shape, rng)
 
 
 class WindowedLocalizedBinaryClassifierMC(MicroClassifier):

@@ -12,13 +12,24 @@ activation slice back out into that camera's
 the batch tensor, so feature maps are never copied between the shared
 forward pass and the microclassifiers.
 
+After the base DNN, the scorer runs a **stacked microclassifier stage**
+over the same group.  Frames of :attr:`~repro.core.streaming.StreamingPipeline.stackable`
+sessions (``batch_size`` 1, only single-network MCs) are grouped by MC layer
+signature and input shape, and each group is scored by one stacked forward
+(:func:`repro.core.architectures.predict_proba_stacked`) that reads every
+camera's own weights at call time.  Each frame's probabilities are handed to
+its session next to its activations, so its ``push`` records them instead of
+running an ``N=1`` MC forward.  Other sessions (windowed MCs, chunked
+scoring) keep scoring their MCs inside ``push``.
+
 The scorer never touches smoothing, events, thresholds, telemetry, or
 tracing: those remain per-camera inside each
 :class:`~repro.core.streaming.StreamingPipeline`, which simply finds its
-activations already cached when :meth:`~repro.core.streaming.StreamingPipeline.push`
-runs.  Because the batched forward is bit-exact against the ``N=1`` path,
-every downstream output — probabilities, decisions, events, upload bits,
-control traces — is bit-identical to per-camera scoring.
+activations (and, when stackable, its probabilities) ready when
+:meth:`~repro.core.streaming.StreamingPipeline.push` runs.  Because both
+batched forwards are bit-exact against the ``N=1`` path, every downstream
+output — probabilities, decisions, events, upload bits, control traces — is
+bit-identical to per-camera scoring.
 """
 
 from __future__ import annotations
@@ -27,6 +38,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.architectures import predict_proba_stacked
+from repro.core.pipeline import mc_input_feature_map
 from repro.core.streaming import StreamingPipeline, StreamUpdate
 from repro.nn.batched import batched_forward_with_taps
 from repro.video.frame import Frame
@@ -55,10 +68,17 @@ class BatchedScorer:
     """
 
     def __init__(self) -> None:
-        # (id(extractor), frame_index) -> that extractor's tapped activations.
-        self._ready: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        # (id(extractor), frame_index) -> (that extractor's tapped activations,
+        # the session they were computed for, its stacked MC probabilities or
+        # None when the session is not stackable).
+        self._ready: dict[
+            tuple[int, int],
+            tuple[dict[str, np.ndarray], StreamingPipeline, list[float] | None],
+        ] = {}
         self.batches_run = 0
         self.frames_batched = 0
+        # (MC, frame) probabilities computed by the stacked MC stage.
+        self.mc_frames_stacked = 0
 
     # -- introspection -----------------------------------------------------
     @property
@@ -115,26 +135,49 @@ class BatchedScorer:
             pixels.append(sample)
         batch = np.stack(pixels, axis=0)
         activations = batched_forward_with_taps(base_dnn, batch, taps)
+        # Stacked MC stage: (signature, input shape) -> (mc, its input,
+        # the frame's probability list, the MC's slot in it).
+        stacks: dict[tuple, list[tuple]] = {}
         for k, (session, frame) in enumerate(group):
             extractor = session.extractor
-            self._ready[(id(extractor), frame.index)] = {
-                name: activations[name][k] for name in extractor.tap_layers
-            }
+            tapped = {name: activations[name][k] for name in extractor.tap_layers}
+            probabilities = None
+            if session.stackable:
+                probabilities = [0.0] * len(session.microclassifiers)
+                for slot, mc in enumerate(session.microclassifiers):
+                    feature_map = mc_input_feature_map(mc, frame, tapped)
+                    stacks.setdefault((mc.stack_signature, feature_map.shape), []).append(
+                        (mc, feature_map, probabilities, slot)
+                    )
+            self._ready[(id(extractor), frame.index)] = (tapped, session, probabilities)
+        for members in stacks.values():
+            scores = predict_proba_stacked(
+                [mc for mc, *_ in members], np.stack([fmap for _, fmap, *_ in members])
+            )
+            for (_, _, probabilities, slot), score in zip(members, scores):
+                probabilities[slot] = float(score)
+            self.mc_frames_stacked += len(members)
         self.batches_run += 1
         self.frames_batched += len(group)
 
     # -- fan-out -----------------------------------------------------------
     def prime(self, session: StreamingPipeline, frame: Frame) -> bool:
-        """Hand a prefetched activation slice to the camera's extractor.
+        """Hand a prefetched frame to the camera's session.
 
-        Returns True when a prefetched slice was installed; False when the
-        frame was never prefetched (the subsequent ``push`` then scores it
-        through the per-camera path — correct, just unbatched).
+        The activation slice goes to the session's extractor and, when the
+        frame went through the stacked MC stage for this session, its MC
+        probabilities go to the session itself.  Returns True when a
+        prefetched slice was installed; False when the frame was never
+        prefetched (the subsequent ``push`` then scores it through the
+        per-camera path — correct, just unbatched).
         """
-        activations = self._ready.pop((id(session.extractor), frame.index), None)
-        if activations is None:
+        entry = self._ready.pop((id(session.extractor), frame.index), None)
+        if entry is None:
             return False
+        activations, owner, probabilities = entry
         session.extractor.prime(frame.index, activations)
+        if probabilities is not None and owner is session:
+            session.prime_probabilities(frame.index, probabilities)
         return True
 
     def score_tick(self, entries: Sequence[Entry]) -> list[StreamUpdate]:

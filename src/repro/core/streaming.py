@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.architectures import WindowedLocalizedBinaryClassifierMC
+from repro.core.architectures import SequentialMC, WindowedLocalizedBinaryClassifierMC
 from repro.core.events import Event, EventDetector, EventKey, EventRecord
 from repro.core.microclassifier import MicroClassifier
 from repro.core.pipeline import (
@@ -167,6 +167,16 @@ class StreamingPipeline:
         self._states_by_name: dict[str, list[_McState]] = {}
         for state in self._states:
             self._states_by_name.setdefault(state.mc.name, []).append(state)
+        # A session that scores each frame on its own (batch_size 1) with
+        # only single-network MCs can take its probabilities from a
+        # cross-camera stacked forward (repro.core.batched): a chunk of N
+        # frames is one GEMM, which is not bit-equal to N one-row GEMMs, and
+        # windowed MCs need their temporal buffer.
+        self.stackable = self.config.batch_size == 1 and all(
+            isinstance(mc, SequentialMC) for mc in self.microclassifiers
+        )
+        # Frame index -> per-MC probabilities handed over by prime_probabilities.
+        self._primed: dict[int, list[float]] = {}
         self._pending: "OrderedDict[int, Frame]" = OrderedDict()
         self._num_pushed = 0
         self._finished = False
@@ -231,6 +241,26 @@ class StreamingPipeline:
         """Frames buffered awaiting scoring or smoothing lookahead."""
         return len(self._pending)
 
+    def prime_probabilities(self, frame_index: int, probabilities: list[float]) -> None:
+        """Install precomputed MC probabilities for the next push of ``frame_index``.
+
+        The fan-out half of stacked cross-camera MC inference
+        (:class:`repro.core.batched.BatchedScorer`): ``probabilities`` holds
+        one value per installed MC, in installation order, each bit-identical
+        to what that MC's own ``N=1`` forward would give.  That push then
+        records them instead of running the MCs.  Only :attr:`stackable`
+        sessions accept them.
+        """
+        if not self.stackable:
+            raise RuntimeError(
+                "prime_probabilities needs batch_size 1 and only single-network MCs"
+            )
+        if len(probabilities) != len(self._states):
+            raise ValueError(
+                f"Expected {len(self._states)} probabilities, got {len(probabilities)}"
+            )
+        self._primed[frame_index] = probabilities
+
     def push(self, frame: Frame) -> StreamUpdate:
         """Ingest one decoded frame; returns what this push finalized."""
         if self._finished:
@@ -243,15 +273,23 @@ class StreamingPipeline:
         self.source_indices.append(int(frame.index))
         self.timestamps.append(float(frame.timestamp))
 
-        activations = self.extractor.extract(frame)
-        for state in self._states:
-            state.chunk.append(mc_input_feature_map(state.mc, frame, activations))
+        primed = self._primed.pop(frame.index, None)
+        if primed is None:
+            activations = self.extractor.extract(frame)
+            for state in self._states:
+                state.chunk.append(mc_input_feature_map(state.mc, frame, activations))
+            scored = len(self._states[0].chunk) >= self.config.batch_size
+            if scored:
+                self._score_chunks(final=False)
+        else:
+            for state, probability in zip(self._states, primed):
+                state.probabilities.append(probability)
+            scored = True
 
         new_matches: list[tuple[str, int]] = []
         closed: list[Event] = []
         records: list[EventRecord] = []
-        if len(self._states[0].chunk) >= self.config.batch_size:
-            self._score_chunks(final=False)
+        if scored:
             self._drain_decisions(new_matches, closed, records)
         if self._tracer is not None:
             self._tracer.annotate(

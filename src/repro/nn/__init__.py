@@ -20,9 +20,11 @@ matches the ``H x W x C`` feature-map dimensions quoted in the paper.
 from repro.nn.batched import (
     batched_conv2d_forward,
     batched_dense_forward,
+    batched_depthwise_forward,
     batched_forward,
     batched_forward_with_taps,
     batched_layer_forward,
+    model_signature,
 )
 from repro.nn.initializers import (
     HeNormal,
@@ -99,6 +101,7 @@ __all__ = [
     "Softmax",
     "batched_conv2d_forward",
     "batched_dense_forward",
+    "batched_depthwise_forward",
     "batched_forward",
     "batched_forward_with_taps",
     "batched_layer_forward",
@@ -108,6 +111,7 @@ __all__ = [
     "initializer_from_name",
     "load_weights",
     "model_multiply_adds",
+    "model_signature",
     "save_weights",
     "separable_conv_multiply_adds",
 ]

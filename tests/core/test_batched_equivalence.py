@@ -21,7 +21,7 @@ from repro.core.architectures import build_microclassifier
 from repro.core.pipeline import PipelineConfig
 from repro.core.streaming import StreamingPipeline
 from repro.features.base_dnn import build_mobilenet_like
-from repro.features.extractor import FeatureExtractor
+from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.video.frame import Frame
 
 TAP = "conv2_2/sep"
@@ -31,20 +31,32 @@ def make_base_dnn(shape=(24, 32, 3), seed=0):
     return build_mobilenet_like(shape, alpha=0.125, rng=np.random.default_rng(seed))
 
 
-def make_session(base_dnn, camera, seed, architecture="localized", threshold=0.6):
-    """A deterministic per-camera session; same (camera, seed) -> same weights."""
+def make_session(
+    base_dnn, camera, seed, architecture="localized", threshold=0.6, batch_size=1, extra_mcs=()
+):
+    """A deterministic per-camera session; same (camera, seed) -> same weights.
+
+    ``extra_mcs`` lists ``(architecture, crop)`` pairs installed after the
+    primary MC.
+    """
     extractor = FeatureExtractor(base_dnn, [TAP], cache_size=4)
-    mc = build_microclassifier(
-        architecture,
-        MicroClassifierConfig(name=f"{camera}/primary", input_layer=TAP, threshold=threshold),
-        extractor.layer_shape(TAP),
-        rng=np.random.default_rng(seed * 1000 + zlib.crc32(camera.encode()) % 997),
-    )
     shape = base_dnn.input_shape
+    mcs = []
+    specs = [(architecture, None), *extra_mcs]
+    for j, (arch, crop) in enumerate(specs):
+        name = f"{camera}/primary" if j == 0 else f"{camera}/mc{j}"
+        mcs.append(
+            build_microclassifier(
+                arch,
+                MicroClassifierConfig(name=name, input_layer=TAP, crop=crop, threshold=threshold),
+                extractor.cropped_layer_shape(TAP, crop, shape[:2]),
+                rng=np.random.default_rng(seed * 1000 + zlib.crc32(name.encode()) % 997),
+            )
+        )
     return StreamingPipeline(
         extractor,
-        [mc],
-        config=PipelineConfig(batch_size=1, smoothing_window=3, smoothing_votes=2),
+        mcs,
+        config=PipelineConfig(batch_size=batch_size, smoothing_window=3, smoothing_votes=2),
         frame_rate=10.0,
         resolution=(shape[1], shape[0]),
     )
@@ -69,22 +81,25 @@ def assert_results_identical(a, b):
     assert a.total_uploaded_bits == b.total_uploaded_bits
 
 
-def run_both_paths(cameras, seed, ticks=10, drift=None, architecture="localized"):
+def run_both_paths(cameras, seed, ticks=10, drift=None, architecture="localized", sessions=None):
     """Drive identical sessions through batched and per-camera scoring.
 
     ``cameras`` maps camera name -> base DNN (cameras sharing an object share
     the resident model, the grouping the scorer batches on).  ``drift`` maps
     a tick index to a threshold override applied to every session at that
-    tick (the live threshold-drift case).  Returns (batched, per-camera)
-    finished results plus the scorer, keyed by camera.
+    tick (the live threshold-drift case).  ``sessions`` optionally maps a
+    camera to extra :func:`make_session` keyword arguments.  Returns
+    (batched, per-camera) finished results plus the scorer, keyed by camera.
     """
     drift = drift or {}
-    batched_sessions = {
-        cam: make_session(dnn, cam, seed, architecture) for cam, dnn in cameras.items()
-    }
-    scalar_sessions = {
-        cam: make_session(dnn, cam, seed, architecture) for cam, dnn in cameras.items()
-    }
+    sessions = sessions or {}
+
+    def build(cam, dnn):
+        kwargs = {"architecture": architecture, **sessions.get(cam, {})}
+        return make_session(dnn, cam, seed, **kwargs)
+
+    batched_sessions = {cam: build(cam, dnn) for cam, dnn in cameras.items()}
+    scalar_sessions = {cam: build(cam, dnn) for cam, dnn in cameras.items()}
     frames = {
         cam: make_frames(dnn.input_shape, cam, seed, ticks) for cam, dnn in cameras.items()
     }
@@ -162,6 +177,89 @@ class TestScoreTickEquivalence:
         batched, scalar, _ = run_both_paths(cameras, seed=4, ticks=8, architecture="windowed")
         for cam in cameras:
             assert_results_identical(batched[cam], scalar[cam])
+
+
+CROP = FeatureMapCrop(x0=4, y0=2, x1=26, y1=20)
+
+# One of each kind of session: stackable ones (localized, full-frame, several
+# MCs with crops) and ones that keep per-camera MC scoring (windowed MCs,
+# chunked batch_size > 1).
+MIXED_FLEET = {
+    "loc0": {},
+    "loc1": {},
+    "loc2": {},
+    "ff0": {"architecture": "full_frame"},
+    "ff1": {"architecture": "full_frame"},
+    "multi": {"extra_mcs": (("localized", CROP), ("full_frame", CROP))},
+    "win": {"architecture": "windowed"},
+    "loc_win": {"extra_mcs": (("windowed", None),)},
+    "chunked": {"batch_size": 4},
+}
+STACKABLE = {"loc0", "loc1", "loc2", "ff0", "ff1", "multi"}
+
+
+class TestStackedMcStage:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_fleet_is_bit_identical(self, seed, monkeypatch):
+        primed_sessions = []
+        original = StreamingPipeline.prime_probabilities
+
+        def spy(session, frame_index, probabilities):
+            primed_sessions.append(session)
+            original(session, frame_index, probabilities)
+
+        monkeypatch.setattr(StreamingPipeline, "prime_probabilities", spy)
+        dnn = make_base_dnn(seed=seed)
+        cameras = {cam: dnn for cam in MIXED_FLEET}
+        ticks = 10
+        batched, scalar, scorer = run_both_paths(cameras, seed, ticks=ticks, sessions=MIXED_FLEET)
+        for cam in cameras:
+            assert_results_identical(batched[cam], scalar[cam])
+        # Stackable sessions: 3 localized + 2 full-frame + one with 3 MCs.
+        assert scorer.mc_frames_stacked == (3 + 2 + 3) * ticks
+        primed_ids = {id(session) for session in primed_sessions}
+        assert len(primed_ids) == len(STACKABLE)
+        assert len(primed_sessions) == len(STACKABLE) * ticks
+
+    def test_qualifying_sessions(self):
+        dnn = make_base_dnn()
+        for cam, kwargs in MIXED_FLEET.items():
+            assert make_session(dnn, cam, 0, **kwargs).stackable == (cam in STACKABLE), cam
+
+    def test_no_stacking_without_qualifying_sessions(self):
+        dnn = make_base_dnn()
+        unstackable = {cam: MIXED_FLEET[cam] for cam in ("win", "loc_win", "chunked")}
+        cameras = {cam: dnn for cam in unstackable}
+        batched, scalar, scorer = run_both_paths(cameras, seed=1, ticks=6, sessions=unstackable)
+        for cam in cameras:
+            assert_results_identical(batched[cam], scalar[cam])
+        assert scorer.mc_frames_stacked == 0
+        assert scorer.frames_batched == 3 * 6
+
+    def test_push_after_stacking_runs_no_mc_forward(self, monkeypatch):
+        dnn = make_base_dnn()
+        session = make_session(dnn, "cam", seed=12)
+        [frame] = make_frames(dnn.input_shape, "cam", 12, 1)
+        scorer = BatchedScorer()
+        scorer.prefetch([(session, frame)])
+        scorer.prime(session, frame)
+
+        def forbidden(*_args):
+            raise AssertionError("MC forward ran inside push")
+
+        mc = session.microclassifiers[0]
+        monkeypatch.setattr(mc, "predict_proba_batch", forbidden)
+        session.push(frame)
+        assert scorer.mc_frames_stacked == 1
+
+    def test_prime_probabilities_rejects_unstackable_sessions(self):
+        dnn = make_base_dnn()
+        chunked = make_session(dnn, "cam", seed=13, batch_size=4)
+        with pytest.raises(RuntimeError, match="batch_size 1"):
+            chunked.prime_probabilities(0, [0.5])
+        session = make_session(dnn, "cam", seed=13)
+        with pytest.raises(ValueError, match="Expected 1 probabilities"):
+            session.prime_probabilities(0, [0.5, 0.5])
 
 
 class TestScorerSemantics:

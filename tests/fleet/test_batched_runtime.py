@@ -94,6 +94,9 @@ class TestBatchedDispatchEquivalence:
         # Batches actually formed: fewer forwards than frames scored.
         assert rt_b.batched.frames_batched == rep_b.frames_scored
         assert rt_b.batched.batches_run < rt_b.batched.frames_batched
+        # The default sessions (one localized MC, batch_size 1) are stackable:
+        # every scored frame's MC ran in the stacked stage.
+        assert rt_b.batched.mc_frames_stacked == rep_b.frames_scored
 
     def test_mixed_resolution_fleet(self):
         cameras = fleet(num_cameras=3, num_frames=8, width=32, height=32) + [

@@ -53,6 +53,32 @@ class TestPadSame:
         padded = pad_same(x, (3, 3), (1, 1))
         np.testing.assert_array_equal(padded[:, 1:-1, 1:-1, :], x)
 
+    @given(
+        shape=st.tuples(
+            st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(1, 4)
+        ),
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_pad(self, shape, kernel, stride, dtype, seed):
+        """Same values, shape and dtype as ``np.pad``; no copy when unpadded."""
+        x = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+        pads = []
+        for size, k, s in zip(shape[1:3], kernel, stride):
+            total = max((-(-size // s) - 1) * s + k - size, 0)
+            pads.append((total // 2, total - total // 2))
+        padded = pad_same(x, kernel, stride)
+        if pads == [(0, 0), (0, 0)]:
+            assert padded is x
+        else:
+            expected = np.pad(x, ((0, 0), pads[0], pads[1], (0, 0)), mode="constant")
+            assert padded.dtype == x.dtype
+            assert padded.shape == expected.shape
+            assert np.array_equal(padded, expected)
+
 
 class TestIm2Col:
     def test_columns_shape(self):
