@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -219,6 +220,10 @@ class SharedTransferRequest:
             raise ValueError("available_at must be non-negative")
 
 
+# drain()'s global request order; ``bits`` makes it total.
+_REQUEST_ORDER = attrgetter("available_at", "node_id", "description", "bits")
+
+
 @dataclass(frozen=True)
 class SharedTransfer:
     """One completed transfer through the work-conserving shared link."""
@@ -323,79 +328,107 @@ class WorkConservingUplink:
 
         Requests are served FIFO per node and GPS-shared across nodes.  May
         only be called once.
+
+        Same-instant ties resolve in node-id order: transfers that finish
+        together complete in that order, and the reclaim tally sums over the
+        backlogged nodes in that order.  A pass that advances the clock to a
+        completion finishes the exhausted transfers in the same pass unless a
+        request arrives at that instant (its node could sort first).
         """
         if self._drained:
             raise RuntimeError("drain() may only be called once")
         self._drained = True
-        reqs = sorted(
-            requests, key=lambda r: (r.available_at, r.node_id, r.description, r.bits)
-        )
+        reqs = sorted(requests, key=_REQUEST_ORDER)
         for req in reqs:
             if req.node_id not in self._weights:
                 raise ValueError(f"Unknown node {req.node_id!r} in transfer request")
         changes = sorted(self._weight_changes, key=lambda c: (c[0], c[1]))
-        queues: dict[str, deque[SharedTransferRequest]] = {
-            node_id: deque() for node_id in self._weights
-        }
-        remaining: dict[str, float] = {}
-        started: dict[str, float] = {}
-        weights = dict(self._weights)
+        capacity = self.capacity_bps
+        eps = self._EPS_BITS
+        order = sorted(self._weights)
         # The reclaim baseline is what *static slicing under the configured
         # allocation* would have guaranteed — the initial weights.  Scheduled
         # re-weighting changes the GPS rates, not the comparison point.
         initial_total = sum(self._weights.values())
-        capacity = self.capacity_bps
+        guaranteed = {n: capacity * self._weights[n] / initial_total for n in order}
+        weights = self._weights
+        queues: dict[str, deque[SharedTransferRequest]] = {n: deque() for n in order}
+        # Bits left of each backlogged node's head transfer, and when it
+        # started; a node is a key exactly while its queue is non-empty.
+        remaining: dict[str, float] = {}
+        started: dict[str, float] = {}
+        node_bits = self._node_bits
+        busy_until = self._node_busy_until
+        node_reclaimed = self._node_reclaimed
+        reclaimed = self.reclaimed_bits
+        on_transfer = self.on_transfer
         results: list[SharedTransfer] = []
+
+        def finish(node_id: str, now: float) -> None:
+            """Complete ``node_id``'s head transfer at ``now``; start the next."""
+            queue = queues[node_id]
+            head = queue.popleft()
+            transfer = SharedTransfer(
+                node_id, head.description, head.bits, head.available_at, started[node_id], now
+            )
+            results.append(transfer)
+            if on_transfer is not None:
+                on_transfer(transfer)
+            node_bits[node_id] += head.bits
+            busy_until[node_id] = now
+            if queue:
+                remaining[node_id] = queue[0].bits
+                started[node_id] = now
+            else:
+                del remaining[node_id]
+
+        num_reqs = len(reqs)
+        num_changes = len(changes)
         i = 0  # next request to enqueue
         ci = 0  # next weight change to apply
+        t_arrival = reqs[0].available_at if reqs else math.inf
+        t_change = changes[0][0] if changes else math.inf
         t = 0.0
         while True:
-            while i < len(reqs) and reqs[i].available_at <= t:
-                queues[reqs[i].node_id].append(reqs[i])
+            if not remaining:
+                if i == num_reqs:
+                    break
+                if t < t_arrival:
+                    t = t_arrival  # idle link: jump to the next request
+            while t_arrival <= t:
+                req = reqs[i]
+                queue = queues[req.node_id]
+                queue.append(req)
+                if len(queue) == 1:  # the node was idle: its transfer starts now
+                    remaining[req.node_id] = req.bits
+                    started[req.node_id] = t
                 i += 1
-            while ci < len(changes) and changes[ci][0] <= t:
-                weights = dict(changes[ci][2])
+                t_arrival = reqs[i].available_at if i < num_reqs else math.inf
+            while t_change <= t:
+                weights = changes[ci][2]
                 ci += 1
-            for node_id in sorted(queues):
-                if queues[node_id] and node_id not in remaining:
-                    head = queues[node_id][0]
-                    remaining[node_id] = head.bits
-                    started[node_id] = max(t, head.available_at)
-            completed = False
-            for node_id in sorted(remaining):
-                if remaining[node_id] <= self._EPS_BITS:
-                    head = queues[node_id].popleft()
-                    transfer = SharedTransfer(
-                        node_id=node_id,
-                        description=head.description,
-                        bits=head.bits,
-                        available_at=head.available_at,
-                        start_time=started[node_id],
-                        end_time=t,
-                    )
-                    results.append(transfer)
-                    if self.on_transfer is not None:
-                        self.on_transfer(transfer)
-                    self._node_bits[node_id] += head.bits
-                    self._node_busy_until[node_id] = t
-                    del remaining[node_id]
-                    del started[node_id]
-                    completed = True
-            if completed:
-                continue  # promote the next heads at the same instant
-            active = sorted(remaining)
-            if not active:
-                if i < len(reqs):
-                    t = max(t, reqs[i].available_at)
-                    continue
-                break
-            active_weight = sum(weights[n] for n in active)
-            t_arrival = reqs[i].available_at if i < len(reqs) else math.inf
-            t_change = changes[ci][0] if ci < len(changes) else math.inf
-            t_complete = min(
-                t + remaining[n] * active_weight / (capacity * weights[n]) for n in active
-            )
-            t_next = min(t_arrival, t_change, t_complete)
+                t_change = changes[ci][0] if ci < num_changes else math.inf
+            # The backlogged nodes, in node order.
+            if len(remaining) == 1:
+                active = list(remaining)
+            else:
+                active = [n for n in order if n in remaining]
+            # Complete every exhausted transfer, in node order; a completion
+            # can start a zero-bit head, which the next pass completes.
+            done = False
+            for n in active:
+                if remaining[n] <= eps:
+                    finish(n, t)
+                    done = True
+            if done:
+                continue
+            active_weight = sum(map(weights.__getitem__, active))
+            # The next event: min(t_arrival, t_change, each completion).
+            t_next = t_change if t_change < t_arrival else t_arrival
+            for n in active:
+                t_complete = t + remaining[n] * active_weight / (capacity * weights[n])
+                if t_complete < t_next:
+                    t_next = t_complete
             if t_next <= t:
                 # Floating-point liveness guard: the shortest residual
                 # drains in less than one ulp of the clock (t + dt == t),
@@ -405,17 +438,24 @@ class WorkConservingUplink:
                     if t + remaining[n] * active_weight / (capacity * weights[n]) <= t:
                         remaining[n] = 0.0
                 continue
-            dt = t_next - t
+            dt = t_next - t  # > 0, so every rate above its share reclaims
             for n in active:
                 rate = capacity * weights[n] / active_weight
                 drained = min(remaining[n], rate * dt)
                 remaining[n] -= drained
-                guaranteed = capacity * self._weights[n] / initial_total
-                if rate > guaranteed and dt > 0:
-                    excess = min(drained, (rate - guaranteed) * dt)
-                    self._node_reclaimed[n] += excess
-                    self.reclaimed_bits += excess
+                share = guaranteed[n]
+                if rate > share:
+                    excess = min(drained, (rate - share) * dt)
+                    node_reclaimed[n] += excess
+                    reclaimed += excess
             t = t_next
+            if t_arrival > t:
+                # Nothing arrives at this instant, so the next pass would
+                # start by completing these: do it now.
+                for n in active:
+                    if remaining[n] <= eps:
+                        finish(n, t)
+        self.reclaimed_bits = reclaimed
         self.transfers = results
         return results
 

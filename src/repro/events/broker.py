@@ -67,33 +67,45 @@ class SimulatedBroker:
 
     def __init__(self, config: BrokerConfig | None = None) -> None:
         self.config = config or BrokerConfig()
+        # The ``#{attempt}#{seed}`` token suffix of each attempt, encoded once.
+        self._suffixes: list[bytes] = []
 
     def outcome(self, key: str, attempt: int) -> AttemptOutcome:
         """The deterministic fate of attempt ``attempt`` for event ``key``."""
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        draw = self._unit_uniform(key, attempt)
-        if draw < self.config.loss_rate:
-            return AttemptOutcome.LOST
-        if draw < self.config.loss_rate + self.config.ack_loss_rate:
-            return AttemptOutcome.DELIVERED_ACK_LOST
-        return AttemptOutcome.DELIVERED
+        return self._fate(self._unit_uniform(key, attempt))
 
     def plan(self, key: str, max_attempts: int) -> list[AttemptOutcome]:
         """Outcomes of the attempts a retrying sender would actually make.
 
         The sender stops at the first acked attempt; the plan therefore has
         at most ``max_attempts`` entries and only its last one can be acked.
+        Equal to ``outcome(key, a)`` for ``a = 0, 1, ...``: CRC32 runs
+        over the key once and each attempt continues it with its suffix,
+        which is the CRC32 of the concatenated token.
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        suffixes = self._suffixes
+        while len(suffixes) < max_attempts:
+            suffixes.append(f"#{len(suffixes)}#{self.config.seed}".encode())
+        key_crc = zlib.crc32(key.encode())
+        fate = self._fate
         outcomes: list[AttemptOutcome] = []
         for attempt in range(max_attempts):
-            fate = self.outcome(key, attempt)
-            outcomes.append(fate)
-            if fate.acked:
+            outcome = fate(zlib.crc32(suffixes[attempt], key_crc) / 2**32)
+            outcomes.append(outcome)
+            if outcome is AttemptOutcome.DELIVERED:
                 break
         return outcomes
+
+    def _fate(self, draw: float) -> AttemptOutcome:
+        if draw < self.config.loss_rate:
+            return AttemptOutcome.LOST
+        if draw < self.config.loss_rate + self.config.ack_loss_rate:
+            return AttemptOutcome.DELIVERED_ACK_LOST
+        return AttemptOutcome.DELIVERED
 
     def _unit_uniform(self, key: str, attempt: int) -> float:
         token = f"{key}#{attempt}#{self.config.seed}".encode()

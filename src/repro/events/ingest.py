@@ -66,9 +66,7 @@ class DatacenterIngest:
         self._last_arrival = arrived_at
         if key in self._seen:
             self.duplicates += 1
-            return IngestResult(
-                key=key, accepted=False, arrived_at=arrived_at, completed_at=arrived_at
-            )
+            return IngestResult(key, False, arrived_at, arrived_at)
         self._seen.add(key)
         self.unique_ingests += 1
         completed = max(arrived_at, self._busy_until) + self.service_seconds
@@ -76,9 +74,7 @@ class DatacenterIngest:
         lag = completed - arrived_at
         if lag > self.max_consumer_lag:
             self.max_consumer_lag = lag
-        return IngestResult(
-            key=key, accepted=True, arrived_at=arrived_at, completed_at=completed
-        )
+        return IngestResult(key, True, arrived_at, completed)
 
     def has_ingested(self, key: str) -> bool:
         """Whether ``key`` has been accepted (dedupe membership probe)."""

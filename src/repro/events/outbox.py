@@ -48,6 +48,15 @@ class OutboxConfig:
             raise ValueError("backoff_base_seconds must be positive")
         if self.backoff_cap_seconds < self.backoff_base_seconds:
             raise ValueError("backoff_cap_seconds must be at least the base")
+        # Every attempt's ack window and send offset from the close time.
+        # The offsets are running sums in send_time's own order (0, then
+        # + backoff(0), + backoff(1), ...), so each equals its generator sum.
+        windows = tuple(self.backoff(attempt) for attempt in range(self.max_attempts))
+        offsets = [0]
+        for window in windows[:-1]:
+            offsets.append(offsets[-1] + window)
+        object.__setattr__(self, "_ack_windows", windows)
+        object.__setattr__(self, "_send_offsets", tuple(offsets))
 
     @property
     def max_attempts(self) -> int:
@@ -100,23 +109,25 @@ class NodeOutbox:
         queue is full (an overflow drop).  ``attempts`` comes from the
         broker's plan for the record's key.
         """
+        config = self.config
+        offsets = config._send_offsets
         if closed_at < self._last_offer_at:
             raise ValueError("outbox offers must arrive in non-decreasing closed_at order")
-        if not 1 <= attempts <= self.config.max_attempts:
-            raise ValueError(f"attempts must be in [1, {self.config.max_attempts}]")
+        if not 1 <= attempts <= len(offsets):
+            raise ValueError(f"attempts must be in [1, {len(offsets)}]")
         self._last_offer_at = closed_at
-        while self._occupied and self._occupied[0] <= closed_at:
-            heapq.heappop(self._occupied)
-        if len(self._occupied) >= self.config.max_queue:
+        occupied = self._occupied
+        while occupied and occupied[0] <= closed_at:
+            heapq.heappop(occupied)
+        if len(occupied) >= config.max_queue:
             self.dropped += 1
             return None
-        send_times = tuple(
-            self.config.send_time(closed_at, attempt) for attempt in range(attempts)
-        )
-        entry = OutboxEntry(key=key, closed_at=closed_at, bits=bits, send_times=send_times)
+        # config.send_time(closed_at, attempt) for each attempt.
+        send_times = tuple([closed_at + offset for offset in offsets[:attempts]])
+        entry = OutboxEntry(key, closed_at, bits, send_times)
         self.entries.append(entry)
         # The slot frees when the final attempt's ack window elapses.
-        heapq.heappush(self._occupied, send_times[-1] + self.config.backoff(attempts - 1))
+        heapq.heappush(occupied, send_times[-1] + config._ack_windows[attempts - 1])
         return entry
 
     @property

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from repro.core.events import EventRecord
 from repro.edge.uplink import SharedTransferRequest
@@ -51,6 +52,10 @@ STATE_ACKED = "acked"
 STATE_DELIVERED_UNACKED = "delivered_unacked"
 STATE_DEAD_LETTER = "dead_letter"
 STATE_DROPPED_OVERFLOW = "dropped_overflow"
+
+_REQUEST_ORDER = attrgetter("available_at", "node_id", "description")
+_ARRIVAL_ORDER = itemgetter(0, 1)  # (arrival time, attempt description)
+_LOG_ORDER = itemgetter("closed_at", "key")
 
 
 def nearest_rank_percentile(sorted_values: list[float], q: float) -> float:
@@ -140,28 +145,43 @@ class DeliveryReport:
         )
 
 
-@dataclass
+_COUNT_FIELDS = (
+    "published",
+    "acked",
+    "delivered_unacked",
+    "dead_letter",
+    "retried",
+    "duped",
+    "ack_violations",
+)
+
+
+@dataclass(slots=True)
 class _Publish:
-    """One admitted record's full plan and (post-finalize) outcome."""
+    """One admitted record's publish plan, built once, and its outcome.
+
+    ``key`` and the per-attempt transfer ``descriptions`` are formatted at
+    publish time and reused by :meth:`EventDeliveryPlane.transfer_requests`
+    and :meth:`EventDeliveryPlane.finalize`, which also fills ``state``.
+    """
 
     node_id: str
     record: EventRecord
+    key: str
     entry: OutboxEntry
     outcomes: tuple[AttemptOutcome, ...]
+    descriptions: tuple[str, ...]
+    state: str = ""
     delivered_at: float | None = None
     dup_arrivals: int = 0
 
-    @property
-    def key(self) -> str:
-        return str(self.record.key)
 
-    @property
-    def state(self) -> str:
-        if self.outcomes[-1].acked:
-            return STATE_ACKED
-        if any(outcome.reaches_datacenter for outcome in self.outcomes):
-            return STATE_DELIVERED_UNACKED
-        return STATE_DEAD_LETTER
+def _final_state(outcomes: tuple[AttemptOutcome, ...]) -> str:
+    if outcomes[-1] is AttemptOutcome.DELIVERED:
+        return STATE_ACKED
+    if AttemptOutcome.DELIVERED_ACK_LOST in outcomes:
+        return STATE_DELIVERED_UNACKED
+    return STATE_DEAD_LETTER
 
 
 class EventDeliveryPlane:
@@ -171,6 +191,8 @@ class EventDeliveryPlane:
         self.config = config or DeliveryConfig()
         self.broker = SimulatedBroker(self.config.broker)
         self.ingest = DatacenterIngest(self.config.consumer_rate_eps)
+        self._max_attempts = self.config.outbox.max_attempts
+        self._record_bits = self.config.record_bytes * 8
         self._outboxes: dict[str, NodeOutbox] = {}
         self._telemetry: dict[str, object] = {}
         self._publishes: list[_Publish] = []
@@ -201,10 +223,8 @@ class EventDeliveryPlane:
             raise RuntimeError("cannot publish after finalize()")
         telemetry = self._telemetry[node_id]
         key = str(record.key)
-        outcomes = tuple(self.broker.plan(key, self.config.outbox.max_attempts))
-        entry = self._outboxes[node_id].offer(
-            key, record.closed_at, self.config.record_bytes * 8, len(outcomes)
-        )
+        outcomes = tuple(self.broker.plan(key, self._max_attempts))
+        entry = self._outboxes[node_id].offer(key, record.closed_at, self._record_bits, len(outcomes))
         if entry is None:
             self._overflow_records.append((node_id, record))
             telemetry.counter("events.dropped").inc()
@@ -212,9 +232,9 @@ class EventDeliveryPlane:
         telemetry.counter("events.published").inc()
         if entry.attempts > 1:
             telemetry.counter("events.retried").inc(entry.attempts - 1)
-        self._publishes.append(
-            _Publish(node_id=node_id, record=record, entry=entry, outcomes=outcomes)
-        )
+        describe = self.attempt_description
+        descriptions = tuple([describe(node_id, key, a) for a in range(len(outcomes))])
+        self._publishes.append(_Publish(node_id, record, key, entry, outcomes, descriptions))
 
     # -- uplink integration --------------------------------------------------
     def attempt_description(self, node_id: str, key: str, attempt: int) -> str:
@@ -229,16 +249,11 @@ class EventDeliveryPlane:
         uplink, so event delivery contends for — and waits behind — video.
         """
         requests = [
-            SharedTransferRequest(
-                node_id=publish.node_id,
-                bits=publish.entry.bits,
-                available_at=send_time,
-                description=self.attempt_description(publish.node_id, publish.key, attempt),
-            )
+            SharedTransferRequest(publish.node_id, publish.entry.bits, send_time, description)
             for publish in self._publishes
-            for attempt, send_time in enumerate(publish.entry.send_times)
+            for send_time, description in zip(publish.entry.send_times, publish.descriptions)
         ]
-        requests.sort(key=lambda r: (r.available_at, r.node_id, r.description))
+        requests.sort(key=_REQUEST_ORDER)
         return requests
 
     def node_ids(self) -> list[str]:
@@ -252,73 +267,78 @@ class EventDeliveryPlane:
         ``attempt_end_times`` maps each attempt's transfer description to
         the simulated time its last bit cleared the shared link (= arrival
         at the broker/datacenter).  Returns the cluster report; per-node
-        reports land in :attr:`node_reports` and per-node telemetry gains
-        the post-hoc delivery counters and the latency histogram.
+        reports land in :attr:`node_reports`, the delivery log in
+        :attr:`log_records`, and per-node telemetry gains the post-hoc
+        delivery counters and the latency histogram.
         """
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
         self._finalized = True
 
+        lost = AttemptOutcome.LOST
         arrivals: list[tuple[float, str, _Publish]] = []
         for publish in self._publishes:
-            for attempt, outcome in enumerate(publish.outcomes):
-                if not outcome.reaches_datacenter:
+            for outcome, description in zip(publish.outcomes, publish.descriptions):
+                if outcome is lost:
                     continue
-                description = self.attempt_description(
-                    publish.node_id, publish.key, attempt
-                )
-                if description not in attempt_end_times:
-                    raise KeyError(f"no uplink end time for attempt {description!r}")
-                arrivals.append((attempt_end_times[description], description, publish))
-        arrivals.sort(key=lambda a: (a[0], a[1]))
+                try:
+                    arrivals.append((attempt_end_times[description], description, publish))
+                except KeyError:
+                    raise KeyError(f"no uplink end time for attempt {description!r}") from None
+        arrivals.sort(key=_ARRIVAL_ORDER)
 
+        ingest = self.ingest.ingest
         for arrived_at, _, publish in arrivals:
-            result = self.ingest.ingest(publish.key, arrived_at)
+            result = ingest(publish.key, arrived_at)
             if result.accepted:
                 publish.delivered_at = result.completed_at
             else:
                 publish.dup_arrivals += 1
 
         slo = self.config.slo
+        slo_seconds = slo.ack_latency_seconds if slo is not None else None
         per_node_latencies: dict[str, list[float]] = {n: [] for n in self._outboxes}
-        counts: dict[str, dict[str, int]] = {
-            n: {
-                "published": 0,
-                "acked": 0,
-                "delivered_unacked": 0,
-                "dead_letter": 0,
-                "retried": 0,
-                "duped": 0,
-                "ack_violations": 0,
-            }
-            for n in self._outboxes
-        }
+        counts = {n: dict.fromkeys(_COUNT_FIELDS, 0) for n in self._outboxes}
+        lines: list[dict] = []
         for publish in self._publishes:
             node = publish.node_id
-            telemetry = self._telemetry[node]
             tally = counts[node]
+            attempts = len(publish.outcomes)
             tally["published"] += 1
-            tally["retried"] += publish.entry.attempts - 1
-            state = publish.state
-            if publish.dup_arrivals:
-                tally["duped"] += publish.dup_arrivals
-                telemetry.counter("events.duped").inc(publish.dup_arrivals)
-            if state == STATE_ACKED:
-                tally["acked"] += 1
-                telemetry.counter("events.acked").inc()
-            elif state == STATE_DELIVERED_UNACKED:
-                tally["delivered_unacked"] += 1
-            else:
-                tally["dead_letter"] += 1
-                telemetry.counter("events.dropped").inc()
+            tally["retried"] += attempts - 1
+            tally["duped"] += publish.dup_arrivals
+            state = publish.state = _final_state(publish.outcomes)
+            tally[state] += 1  # each final state names its count field
             latency = None
             if publish.delivered_at is not None:
                 latency = publish.delivered_at - publish.record.closed_at
                 per_node_latencies[node].append(latency)
-                telemetry.histogram("events.delivery_latency_seconds").observe(latency)
-            if slo is not None and (latency is None or latency > slo.ack_latency_seconds):
+                self._telemetry[node].histogram("events.delivery_latency_seconds").observe(latency)
+            if slo_seconds is not None and (latency is None or latency > slo_seconds):
                 tally["ack_violations"] += 1
-                telemetry.counter("events.ack_violations").inc()
+            lines.append(
+                self._log_line(
+                    publish.record,
+                    node,
+                    state,
+                    attempts,
+                    publish.dup_arrivals,
+                    publish.delivered_at,
+                    latency,
+                )
+            )
+        for node, tally in counts.items():
+            # Counters count records, so one increment per metric and node
+            # holds the same (integer-valued) totals as one per record.
+            telemetry = self._telemetry[node]
+            for metric, name in (
+                ("duped", "events.duped"),
+                ("acked", "events.acked"),
+                ("dead_letter", "events.dropped"),
+                ("ack_violations", "events.ack_violations"),
+            ):
+                if tally[metric]:
+                    telemetry.counter(name).inc(tally[metric])
 
         self.node_reports = {
             node: self._build_report(
@@ -331,16 +351,7 @@ class EventDeliveryPlane:
         }
         all_latencies = [lat for lats in per_node_latencies.values() for lat in lats]
         cluster_counts = {
-            metric: sum(counts[node][metric] for node in counts)
-            for metric in next(iter(counts.values()), {})
-        } or {
-            "published": 0,
-            "acked": 0,
-            "delivered_unacked": 0,
-            "dead_letter": 0,
-            "retried": 0,
-            "duped": 0,
-            "ack_violations": 0,
+            metric: sum(tally[metric] for tally in counts.values()) for metric in _COUNT_FIELDS
         }
         self.cluster_report = self._build_report(
             "cluster",
@@ -348,7 +359,10 @@ class EventDeliveryPlane:
             all_latencies,
             sum(outbox.dropped for outbox in self._outboxes.values()),
         )
-        self._build_log()
+        for node_id, record in self._overflow_records:
+            lines.append(self._log_line(record, node_id, STATE_DROPPED_OVERFLOW, 0, 0, None, None))
+        lines.sort(key=_LOG_ORDER)
+        self.log_records = lines
         return self.cluster_report
 
     def _build_report(
@@ -372,44 +386,24 @@ class EventDeliveryPlane:
             max_consumer_lag=self.ingest.max_consumer_lag if scope == "cluster" else 0.0,
         )
 
-    def _build_log(self) -> None:
-        lines: list[dict] = []
-        for publish in self._publishes:
-            entry = publish.record.to_dict()
-            entry.update(
-                {
-                    "node": publish.node_id,
-                    "state": publish.state,
-                    "attempts": publish.entry.attempts,
-                    "dup_suppressed": publish.dup_arrivals,
-                    "delivered_at": (
-                        round(publish.delivered_at, 6)
-                        if publish.delivered_at is not None
-                        else None
-                    ),
-                    "latency": (
-                        round(publish.delivered_at - publish.record.closed_at, 6)
-                        if publish.delivered_at is not None
-                        else None
-                    ),
-                }
-            )
-            lines.append(entry)
-        for node_id, record in self._overflow_records:
-            entry = record.to_dict()
-            entry.update(
-                {
-                    "node": node_id,
-                    "state": STATE_DROPPED_OVERFLOW,
-                    "attempts": 0,
-                    "dup_suppressed": 0,
-                    "delivered_at": None,
-                    "latency": None,
-                }
-            )
-            lines.append(entry)
-        lines.sort(key=lambda e: (e["closed_at"], e["key"]))
-        self.log_records = lines
+    @staticmethod
+    def _log_line(
+        record: EventRecord,
+        node_id: str,
+        state: str,
+        attempts: int,
+        dup_suppressed: int,
+        delivered_at: float | None,
+        latency: float | None,
+    ) -> dict:
+        line = record.to_dict()
+        line["node"] = node_id
+        line["state"] = state
+        line["attempts"] = attempts
+        line["dup_suppressed"] = dup_suppressed
+        line["delivered_at"] = round(delivered_at, 6) if delivered_at is not None else None
+        line["latency"] = round(latency, 6) if latency is not None else None
+        return line
 
     def delivery_log_jsonl(self) -> str:
         """The delivery log as byte-stable JSONL (one record per line)."""

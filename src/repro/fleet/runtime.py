@@ -488,6 +488,11 @@ class _CameraState:
     # collected (finalize() picks up the flush-closed tail after this mark).
     session_epoch: int = 0
     records_consumed: int = 0
+    # Arrivals of this stint still on the event heap, and the stint's
+    # flush-closed tail records, stamped, once they are known for good
+    # (see FleetRuntime._settle_tail).
+    arrivals_left: int = 0
+    tail: list[EventRecord] | None = None
     counted_starved: bool = False
     holding: set[int] = field(default_factory=set)
     source_backlog: list[Frame] = field(default_factory=list)
@@ -577,6 +582,13 @@ class FleetRuntime:
         self.event_sink = event_sink
         self.event_records: list[EventRecord] = []
         self._last_event_publish: dict[tuple[str, str], float] = {}
+        # The sink receives records in close order.  A stint's flush-closed
+        # tail closes at the stint's end but is only known once the stint
+        # can push no more frames, so a record closing after some unsettled
+        # stint's end waits here, a heap of (closed_at, collection order,
+        # record), until nothing can close before it any more.
+        self._held_records: list[tuple[float, int, EventRecord]] = []
+        self._held_sequence = 0
         self.batched = BatchedScorer() if self.config.batched_scoring else None
         self._pending_completions: dict[tuple[str, int], Frame] = {}
         self._states: dict[str, _CameraState] = {}
@@ -631,12 +643,15 @@ class FleetRuntime:
             self._last_event_time = max(self._last_event_time, now)
             state = self._states[key]
             if kind == "arrival":
+                state.arrivals_left -= 1
                 if not state.active:
                     continue  # camera migrated away; the destination owns this frame
                 self._on_arrival(state, frame, now)
             else:
                 self._on_completion(state, frame, now)
             self._dispatch(now)
+            if self.event_sink is not None and state.tail is None:
+                self._settle_tail(state, now)
 
     # -- camera installation and handoff -------------------------------------
     def _schedule_for(self, spec: CameraSpec) -> PhasedSchedule | None:
@@ -695,6 +710,9 @@ class FleetRuntime:
                 continue
             heapq.heappush(self._heap, (arrival_time, self._sequence, "arrival", key, frame))
             self._sequence += 1
+            state.arrivals_left += 1
+        if self.event_sink is not None:
+            self._settle_tail(state, attached_at)  # a stint with no frames to come
         return state
 
     def detach_camera(self, camera_id: str, now: float) -> CameraHandoff:
@@ -735,6 +753,8 @@ class FleetRuntime:
         # later returns starts from the node's default quota.
         if self.admission is not None:
             self.admission.set_camera_quota(camera_id, None)
+        if self.event_sink is not None:
+            self._settle_tail(state, now)
         return CameraHandoff(
             spec=state.spec,
             feed=state.feed,
@@ -996,25 +1016,85 @@ class FleetRuntime:
         """Stamp closed records with their close time, collect, and publish.
 
         Collection into :attr:`event_records` is unconditional; the publish
-        hook additionally applies the per-(camera, MC) cooldown.  All
+        hook additionally applies the per-(camera, MC) cooldown and receives
+        records in non-decreasing close order (see ``_held_records``).  All
         publish-side telemetry is gated on a sink being attached so a
         sink-less runtime emits exactly the pre-delivery-plane counters.
         """
+        stamped = [replace(record, closed_at=closed_at) for record in records]
+        state.records_consumed += len(stamped)
+        self.event_records.extend(stamped)
+        if self.event_sink is not None:
+            self._hold(state, stamped)
+            self._publish_held(self._release_bound(closed_at))
+
+    def _hold(self, state: _CameraState, records: Sequence[EventRecord]) -> None:
+        """Apply the publish cooldown; hold the surviving records for the sink."""
         camera_id = state.spec.camera_id
         cooldown = self.config.event_cooldown_seconds
         for record in records:
-            stamped = replace(record, closed_at=closed_at)
-            state.records_consumed += 1
-            self.event_records.append(stamped)
-            if self.event_sink is None:
-                continue
-            pair = (camera_id, stamped.mc_name)
+            pair = (camera_id, record.mc_name)
             last = self._last_event_publish.get(pair)
-            if cooldown > 0.0 and last is not None and stamped.closed_at - last < cooldown:
+            if cooldown > 0.0 and last is not None and record.closed_at - last < cooldown:
                 self.telemetry.counter("events.suppressed").inc()
                 continue
-            self._last_event_publish[pair] = stamped.closed_at
-            self.event_sink(stamped)
+            self._last_event_publish[pair] = record.closed_at
+            heapq.heappush(self._held_records, (record.closed_at, self._held_sequence, record))
+            self._held_sequence += 1
+
+    def _release_bound(self, now: float) -> float:
+        """No record still to be collected closes before this time.
+
+        Live records close at ``now`` or later; a stint whose tail is not
+        settled may still flush-close records at its end.
+        """
+        return min([now, *(self._stint_end(s) for s in self._states.values() if s.tail is None)])
+
+    def _publish_held(self, upto: float) -> None:
+        """Hand held records closing at or before ``upto`` to the sink."""
+        held = self._held_records
+        while held and held[0][0] <= upto:
+            self.event_sink(heapq.heappop(held)[2])
+
+    def _settle_tail(self, state: _CameraState, now: float) -> None:
+        """Hold a stint's flush-closed tail as soon as it is known for good.
+
+        That is once the stint can push no more frames: it ended (detached,
+        or every arrival processed), nothing is queued, parked or in
+        flight.  Finishing the session then gives the tail finalize() would
+        collect.  A stint that is still attached keeps a non-empty tail
+        unsettled, because a later detach would move its close time.
+        """
+        if state.detached_at is None and state.arrivals_left:
+            return
+        if state.queue.depth or state.source_backlog or state.wait_count != state.scored:
+            return
+        state.session.finish()
+        tail = self._stamp_tail(state)
+        if tail and state.detached_at is None:
+            return
+        state.tail = tail
+        self._hold(state, tail)
+        self._publish_held(self._release_bound(now))
+
+    def _stamp_tail(self, state: _CameraState) -> list[EventRecord]:
+        """The finished session's flush-closed records, stamped.
+
+        A tail event closes when its stint ends, but never before its last
+        frame finished scoring (under overload, scoring lags).
+        """
+        stint_end = self._stint_end(state)
+        return [
+            replace(tail, closed_at=max(stint_end, state.completion_times[tail.end - 1]))
+            for tail in state.session.closed_records[state.records_consumed :]
+        ]
+
+    @staticmethod
+    def _stint_end(state: _CameraState) -> float:
+        """When a hosting stint ends: its detach time, else its feed's end."""
+        if state.detached_at is not None:
+            return state.detached_at
+        return state.spec.start_time + state.spec.duration
 
     def _drain_source_backlog(self, state: _CameraState, now: float) -> None:
         """Move blocked frames into the queue as capacity frees (BLOCK policy)."""
@@ -1099,10 +1179,7 @@ class FleetRuntime:
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
         self._finalized = True
-        hosted_ends = [
-            s.detached_at if s.detached_at is not None else s.spec.start_time + s.spec.duration
-            for s in self._states.values()
-        ]
+        hosted_ends = [self._stint_end(s) for s in self._states.values()]
         sim_duration = max([self._last_event_time, *hosted_ends])
 
         uploads: list[tuple[float, str, int, float]] = []
@@ -1122,17 +1199,13 @@ class FleetRuntime:
             # Events finalized by the flush were not seen by _on_completion.
             state.events = sum(len(r.events) for r in result.per_mc.values())
             state.matched = sum(r.num_matched_frames for r in result.per_mc.values())
-            # ... nor were their records: collect the flush-closed tail.  A
-            # tail event closes when its stint ends, but never before its
-            # last frame finished scoring (under overload, scoring lags).
-            stint_end = (
-                state.detached_at
-                if state.detached_at is not None
-                else spec.start_time + spec.duration
-            )
-            for tail in state.session.closed_records[state.records_consumed :]:
-                closed_at = max(stint_end, state.completion_times[tail.end - 1])
-                self._collect_records(state, [tail], closed_at)
+            # ... nor were their records: collect the flush-closed tail.
+            if state.tail is None:
+                state.tail = self._stamp_tail(state)
+                if self.event_sink is not None:
+                    self._hold(state, state.tail)
+            state.records_consumed += len(state.tail)
+            self.event_records.extend(state.tail)
             camera_bits = 0.0
             for mc_result in result.per_mc.values():
                 if mc_result.encoded is None:
@@ -1197,6 +1270,9 @@ class FleetRuntime:
                     existing, report, state.wait_total, state.wait_count
                 )
 
+        # Every tail is collected: publish what is still held, in close order.
+        if self.event_sink is not None:
+            self._publish_held(math.inf)
         ordered = sorted(uploads, key=lambda u: (u[0], u[1]))
         if self.defer_uploads:
             # The shared-link replay sets the uplink gauges (and patches the

@@ -48,19 +48,34 @@ __all__ = [
 
 @dataclass
 class Parameter:
-    """A trainable tensor and its accumulated gradient."""
+    """A trainable tensor and its accumulated gradient.
+
+    The gradient buffer is allocated (zeroed, shaped like ``value``) on
+    first use, so parameters that only ever run inference hold none.
+    """
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
+    _grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.value = np.asarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient (zeros until a backward pass adds to it)."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to zero."""
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     @property
     def size(self) -> int:

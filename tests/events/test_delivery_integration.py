@@ -1,6 +1,8 @@
 """Fleet-level delivery-plane integration: both uplink modes, cooldowns,
 golden-trace safety, and the O(nodes) hierarchy-payload contract."""
 
+import math
+
 import pytest
 
 from repro.control.hierarchy import HierarchicalControlPlane, NodeAggregate, QuantileSketch
@@ -124,6 +126,129 @@ class TestGoldenTraceSafety:
             "records are still collected without a sink (collection is free; "
             "only publishing is gated)"
         )
+
+
+def staggered_cameras(n=6):
+    """Cameras whose feeds end at different times, last installed first."""
+    return [
+        CameraSpec(
+            camera_id=f"cam{i:03d}",
+            width=48,
+            height=32,
+            frame_rate=8.0,
+            num_frames=64 - 6 * i,
+            scenario="busy_intersection",
+            seed=i,
+            event_rate_scale=3.0,
+        )
+        for i in range(n)
+    ]
+
+
+def spy_on_sinks(runtimes):
+    """Wrap each runtime's publish hook; returns {node: [records offered]}."""
+    offered = {}
+    for node_id, runtime in runtimes.items():
+        offered[node_id] = seen = []
+
+        def sink(record, seen=seen, publish=runtime.event_sink):
+            seen.append(record)
+            publish(record)
+
+        runtime.event_sink = sink
+    return offered
+
+
+def assert_close_ordered(offered, runtimes):
+    for node_id, records in offered.items():
+        closes = [record.closed_at for record in records]
+        assert closes == sorted(closes), f"{node_id} offered records out of close order"
+        # Zero cooldown: every collected record is offered exactly once.
+        assert sorted(map(str, (r.key for r in records))) == sorted(
+            str(r.key) for r in runtimes[node_id].event_records
+        )
+
+
+class TestTailFlushOrdering:
+    """Flush-closed tails reach each outbox in close order with live records."""
+
+    @pytest.mark.parametrize("num_nodes", [1, 2])
+    @pytest.mark.parametrize("sharing", ["static", "work_conserving"])
+    def test_cameras_ending_at_different_times(self, num_nodes, sharing):
+        plane = EventDeliveryPlane(delivery_config())
+        runtime = ShardedFleetRuntime(
+            staggered_cameras(),
+            config=ShardingConfig(num_nodes=num_nodes, uplink_sharing=sharing, node_config=FAST),
+            event_plane=plane,
+        )
+        offered = spy_on_sinks(runtime.nodes)
+        report = runtime.run()
+        assert_close_ordered(offered, runtime.nodes)
+        tails = [
+            record
+            for node in runtime.nodes.values()
+            for record in node.event_records
+            if record.closed_at >= min(s.start_time + s.duration for s in staggered_cameras())
+        ]
+        assert tails, "the scenario must publish records after a camera's feed ended"
+        assert report.delivery.published + report.delivery.dropped_overflow == sum(
+            map(len, offered.values())
+        )
+
+    def test_detached_camera_tail_precedes_later_live_records(self):
+        # cam001's one event spans its whole feed, so detaching it at 2.0 s
+        # flush-closes that event once its last queued frame is scored
+        # (just after 2.0 s), between cam004's live records.
+        runtime = FleetRuntime(staggered_cameras(), config=FAST)
+        plane = EventDeliveryPlane(delivery_config())
+        plane.attach("node0", runtime)
+        offered = spy_on_sinks({"node0": runtime})
+        runtime.start()
+        runtime.advance_until(2.0)
+        runtime.detach_camera("cam001", 2.0)
+        runtime.advance_until(math.inf)
+        runtime.finalize()
+        assert_close_ordered(offered, {"node0": runtime})
+        order = [(str(r.key), r.closed_at) for r in offered["node0"]]
+        assert order[1][0] == "cam001/e0/1"
+        assert order[0][1] < 2.0 <= order[1][1] < order[2][1]
+        report = plane.finalize(
+            {r.description: r.available_at + 0.01 for r in plane.transfer_requests()}
+        )
+        assert report.published == len(order)
+
+    def test_publishing_stays_live_after_a_mid_run_detach(self):
+        # Once cam001's last queued frame is scored its tail is settled, so
+        # the node's later records reach the sink as they close rather than
+        # at finalize(), and the published counter keeps rising mid-run.
+        runtime = FleetRuntime(staggered_cameras(), config=FAST)
+        plane = EventDeliveryPlane(delivery_config())
+        plane.attach("node0", runtime)
+        offered = spy_on_sinks({"node0": runtime})["node0"]
+        published = runtime.telemetry.counter("events.published")
+        runtime.start()
+        runtime.advance_until(2.0)
+        runtime.detach_camera("cam001", 2.0)
+        seen = [published.value]
+        for until in (3.0, 4.0):
+            runtime.advance_until(until)
+            seen.append(published.value)
+        assert seen[0] < seen[1] < seen[2]
+        keys = [str(record.key) for record in offered]
+        assert "cam001/e0/1" in keys
+        assert {str(r.key) for r in runtime.event_records} <= set(keys)
+
+    def test_plane_does_not_change_collected_records(self):
+        def collected(event_plane):
+            runtime = ShardedFleetRuntime(
+                staggered_cameras(),
+                config=ShardingConfig(num_nodes=2, node_config=FAST),
+                event_plane=event_plane,
+            )
+            runtime.run()
+            return {node_id: node.event_records for node_id, node in runtime.nodes.items()}
+
+        assert collected(EventDeliveryPlane(delivery_config())) == collected(None)
 
 
 class TestCooldown:

@@ -1,8 +1,13 @@
 """Unit tests for the end-to-end delivery plane (synthetic records)."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.events import EventKey, EventRecord
+from repro.edge.uplink import WorkConservingUplink
 from repro.events import (
     BrokerConfig,
     DeliveryConfig,
@@ -254,3 +259,57 @@ class TestMultiNode:
         assert payload["scope"] == "cluster"
         assert payload["published"] == 1
         assert "events[cluster]" in report.summary()
+
+
+def pinned_scenario_digest():
+    """SHA-256 of one seeded 4-node plane run's delivery log and reports.
+
+    Four nodes publish 60 records each (seeded close times, one shared
+    instant per node to exercise ties) through a lossy broker whose
+    one-digit seed makes lost retries common (dead letters), a 12-slot
+    outbox (overflow drops), a lagging consumer and an ack-latency SLO.
+    Every attempt is drained through a :class:`WorkConservingUplink` with
+    one scheduled re-weighting, so the pin covers the uplink replay too.
+    """
+    plane = EventDeliveryPlane(
+        DeliveryConfig(
+            broker=BrokerConfig(loss_rate=0.2, ack_loss_rate=0.1, seed=3),
+            outbox=OutboxConfig(
+                max_queue=12, max_retries=3, backoff_base_seconds=0.02, backoff_cap_seconds=0.1
+            ),
+            consumer_rate_eps=400.0,
+            record_bytes=300,
+            slo=DeliverySLOConfig(ack_latency_seconds=0.03),
+        )
+    )
+    rng = np.random.default_rng(20240613)
+    runtimes = {f"node{n}": FakeRuntime() for n in range(4)}
+    for node_id, runtime in runtimes.items():
+        plane.attach(node_id, runtime)
+    for n, runtime in enumerate(runtimes.values()):
+        closes = np.cumsum(rng.exponential(0.004 * (n + 1), 60))
+        closes[10] = closes[11]
+        for j, closed_at in enumerate(closes):
+            runtime.event_sink(
+                record(camera=f"cam{n}{j % 3}", event_id=j + 1, closed_at=float(closed_at))
+            )
+    uplink = WorkConservingUplink(1_000_000.0, {f"node{n}": float(n + 1) for n in range(4)})
+    uplink.schedule_weights(0.1, {f"node{n}": 1.0 for n in range(4)})
+    transfers = uplink.drain(plane.transfer_requests())
+    report = plane.finalize({t.description: t.end_time for t in transfers})
+    payload = {
+        "cluster": report.to_dict(),
+        "nodes": [plane.node_reports[n].to_dict() for n in plane.node_ids()],
+        "reclaimed_bits": uplink.reclaimed_bits,
+    }
+    blob = plane.delivery_log_jsonl() + json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestDeliveryLogPin:
+    # Computed before the delivery hot path was optimized; any change to
+    # these bytes is a behaviour change, not a perf change.
+    DIGEST = "869f32958b0b30488896ab4f229b3bdcd6e679b55aeed5092a44f15056a61e6f"
+
+    def test_seeded_four_node_run_is_pinned(self):
+        assert pinned_scenario_digest() == self.DIGEST

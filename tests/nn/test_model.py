@@ -143,3 +143,34 @@ class TestStateDict:
         state[key] = np.zeros((2, 2))
         with pytest.raises(ValueError):
             model.load_state_dict(state)
+
+
+class TestLazyGradients:
+    def test_inference_allocates_no_gradient_buffers(self):
+        model = small_model()
+        model.predict(np.random.default_rng(5).random((2, 8, 8, 3)))
+        model.load_state_dict(model.state_dict())
+        assert all(p._grad is None for p in model.parameters())
+
+    def test_training_is_bit_identical_to_eager_gradient_buffers(self):
+        def train(eager: bool) -> list[np.ndarray]:
+            rng = np.random.default_rng(6)
+            model = small_model(rng)
+            x = rng.random((16, 8, 8, 3))
+            y = (x[:, :, :, 1].mean(axis=(1, 2)) > 0.5).astype(float).reshape(-1, 1)
+            params = model.parameters()
+            if eager:  # allocate every buffer up front, as construction once did
+                for p in params:
+                    assert not p.grad.any()
+            loss_fn = SigmoidBinaryCrossEntropy()
+            optimizer = Adam(learning_rate=5e-3)
+            for _ in range(5):
+                optimizer.zero_grad(params)
+                logits = model.forward(x, training=True)
+                model.backward(loss_fn.backward(logits, y))
+                optimizer.step(params)
+            assert all(p.grad.shape == p.value.shape for p in params)
+            return [p.value for p in params]
+
+        for lazy, eager in zip(train(eager=False), train(eager=True)):
+            np.testing.assert_array_equal(lazy, eager)
