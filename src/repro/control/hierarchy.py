@@ -7,7 +7,9 @@ work per interval.  That tops out around tens of cameras; the paper's
 premise (edge nodes do the heavy lifting locally, the datacenter sees only
 what must travel) applies to the *control plane* too.
 
-This module splits control into two levels:
+This module splits control into two levels, both of them
+:class:`~repro.control.loop.ControlLoop`\\ s that differ from the flat loop
+only in the view they build and how they stamp what they log:
 
 * :class:`NodeControlPlane` — one per edge node.  Local policies (adaptive
   shedding, threshold drift, value shedding — anything emitting node-scope
@@ -16,14 +18,15 @@ This module splits control into two levels:
   **fixed-size** summary — counts, rates, an offered-utilization estimate,
   and a mergeable :class:`QuantileSketch` of the interval's queue waits —
   whose serialized size is independent of how many cameras the node hosts.
-* :class:`ClusterCoordinator` — consumes *only* the aggregates.  It
-  re-weights the shared uplink toward observed demand (the
-  :class:`~repro.control.uplink.UplinkShareController` math, re-read from
-  aggregate matched-frame deltas) and gates cross-node migration on
-  aggregate offered utilization.  Victim selection stays on the source
-  node: the coordinator names a ``(source, destination)`` pair and the
-  source's plane nominates the camera, so per-camera detail never crosses
-  the node boundary.
+* :class:`ClusterCoordinator` — hosts the flat
+  :class:`~repro.control.uplink.UplinkShareController` and
+  :class:`~repro.control.migration.MigrationController` over
+  :class:`AggregateView`\\ s, so they read per-node matched counts and
+  offered utilizations from aggregates only.  Victim selection stays on the
+  source node: the migration policy names a ``(source, destination)`` pair
+  and the source's plane scores its own cameras
+  (:func:`~repro.control.migration.pick_victim`), so per-camera detail
+  never crosses the node boundary.
 
 :class:`HierarchicalControlPlane` wires the two levels to a sharded
 cluster runtime: per-interval cluster coordination exchanges exactly one
@@ -42,21 +45,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.control.loop import ClusterActuator, NodeActuator
-from repro.control.migration import MigrationConfig
+from repro.control.loop import ClusterActuator, ControlLoop, NodeActuator
+from repro.control.migration import (
+    MigrationConfig,
+    MigrationController,
+    offered_utilization,
+    pick_victim,
+)
 from repro.control.policies import (
     ClusterView,
     ControlAction,
     Controller,
     MigrateCamera,
     NodeView,
-    SetCameraQuota,
-    SetCameraThreshold,
-    SetUplinkWeights,
 )
-from repro.control.provenance import CandidateScore, DecisionRecord, ProvenanceBuffer
+from repro.control.provenance import CandidateScore
 from repro.control.shedding import AdaptiveSheddingController
-from repro.control.uplink import UplinkShareConfig
+from repro.control.uplink import UplinkShareConfig, UplinkShareController
 from repro.control.value import ThresholdDriftController
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.telemetry import TelemetryRegistry
@@ -65,6 +70,7 @@ from repro.obs.timeline import MetricsTimeline
 __all__ = [
     "QuantileSketch",
     "NodeAggregate",
+    "AggregateView",
     "NodeControlPlane",
     "ClusterCoordinator",
     "HierarchicalControlPlane",
@@ -84,6 +90,7 @@ _AGGREGATE_COUNTERS = (
     ("events_published", "events.published"),
     ("events_dropped", "events.dropped"),
 )
+_AGGREGATE_FIELDS = {metric: name for name, metric in _AGGREGATE_COUNTERS}
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,7 @@ def default_local_controllers(node_id: str) -> list[Controller]:
     return [AdaptiveSheddingController(), ThresholdDriftController()]
 
 
-class NodeControlPlane:
+class NodeControlPlane(ControlLoop):
     """One node's local control loop plus its aggregate distiller.
 
     Ticks run the node's controllers against a single-node
@@ -249,6 +256,8 @@ class NodeControlPlane:
     distills the node into a :class:`NodeAggregate` for the coordinator.
     """
 
+    _level = "node"
+
     def __init__(
         self,
         node_id: str,
@@ -258,27 +267,20 @@ class NodeControlPlane:
         decision_log: list[str] | None = None,
         decision_records: list[dict] | None = None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        self.node_id = node_id
-        self.runtime = runtime
-        self.controllers = (
-            list(controllers)
-            if controllers is not None
-            else default_local_controllers(node_id)
+        super().__init__(
+            controllers if controllers is not None else default_local_controllers(node_id),
+            interval_seconds,
         )
-        names = [c.name for c in self.controllers]
-        duplicates = {n for n in names if names.count(n) > 1}
-        if duplicates:
-            raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
-        self.interval_seconds = float(interval_seconds)
+        self.node_id = node_id
+        self._scope = self._node_id = node_id
+        self.runtime = runtime
         self.actuator = NodeActuator(runtime, node_id)
-        self.telemetry = TelemetryRegistry()
         # Shared with the hierarchy when driven by one (global ordering);
         # standalone planes keep their own.
-        self.decision_log = decision_log if decision_log is not None else []
-        self.decision_records = decision_records if decision_records is not None else []
-        self.ticks = 0
+        if decision_log is not None:
+            self.decision_log = decision_log
+        if decision_records is not None:
+            self.decision_records = decision_records
         self._wait_index = 0
         self._last_generated: dict[str, int] = {}
 
@@ -287,12 +289,10 @@ class NodeControlPlane:
         self, now: float, horizon: float, uplink_guarantee: float | None = None
     ) -> NodeAggregate:
         """Run local policies once, then summarize the node for the cluster."""
-        self.ticks += 1
-        self.telemetry.counter("control.ticks").inc()
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
-            tick_index=self.ticks - 1,
+            tick_index=self.ticks,
             nodes=(NodeView(self.node_id, self.runtime),),
             horizon=horizon,
             uplink_weights=None,
@@ -300,13 +300,7 @@ class NodeControlPlane:
                 {self.node_id: uplink_guarantee} if uplink_guarantee is not None else None
             ),
         )
-        for controller in self.controllers:
-            action_start = len(self.decision_log)
-            actions = controller.decide(view)
-            for action in actions:
-                self.actuator.apply(action, now)
-                self._account(controller, action, now)
-            self._collect_provenance(controller, actions, action_start, now)
+        self._step(view, self.actuator)
         return self.aggregate(now)
 
     def aggregate(self, now: float) -> NodeAggregate:
@@ -326,33 +320,20 @@ class NodeControlPlane:
             num_cameras=len(live),
             num_workers=self.runtime.workers.num_workers,
             frames_dropped=dropped,
-            offered_utilization=self._offered_utilization(live),
+            # Estimated here so only the scalar, never per-camera counters,
+            # travels to the coordinator.
+            offered_utilization=offered_utilization(
+                live,
+                self.runtime.workers.num_workers,
+                self.interval_seconds,
+                self._last_generated,
+            ),
             window_wait_count=len(window),
             window_wait_sketch=QuantileSketch.from_values(window),
             resolutions=tuple(sorted({stats.resolution for stats in live.values()})),
             **fields,
         )
 
-    def _offered_utilization(self, live: Mapping[str, object]) -> float:
-        """Arriving work over the last interval per worker-second (node-local).
-
-        The same windowed estimate :class:`~repro.control.migration.MigrationController`
-        computes from cluster views, produced here so only the scalar — not
-        per-camera counters — travels to the coordinator.
-        """
-        work_seconds = 0.0
-        for camera_id, stats in sorted(live.items()):
-            previous = self._last_generated.get(camera_id, 0)
-            delta = max(0, stats.generated - previous)
-            self._last_generated[camera_id] = stats.generated
-            # Attach-time blackout losses land in `generated` as one lump;
-            # cap at the camera's physical offer so phantom frames cannot
-            # mark a just-relieved node as hot.
-            delta = min(delta, int(stats.frame_rate * self.interval_seconds) + 1)
-            work_seconds += delta * stats.service_seconds
-        return work_seconds / (self.runtime.workers.num_workers * self.interval_seconds)
-
-    # -- migration victim selection (coordinator-delegated) --------------------
     def nominate_victim(
         self,
         destination: NodeAggregate,
@@ -366,134 +347,90 @@ class NodeControlPlane:
 
         The coordinator decided *that* a move should happen (from
         aggregates); choosing *which* camera needs per-camera stats, so it
-        happens here, node-locally.  Scoring mirrors the flat
-        :class:`~repro.control.migration.MigrationController`: viability
-        requires the camera's utilization to fit the pair's gap and the
-        saved frames to pay back the blackout; the chosen camera minimizes
-        the pair-leveling residual.
+        happens here, node-locally, with the flat policy's scorer.
         """
-        gap = source_utilization - destination_utilization
-        if gap <= 0:
-            return None, ()
-        destination_resolutions = set(destination.resolutions)
-        workers = self.runtime.workers.num_workers
-        best: tuple[float, str] | None = None
-        best_blackout = 0.0
-        scored: dict[str, tuple[float, tuple[tuple[str, float], ...], bool]] = {}
-        for camera_id, stats in sorted(self.runtime.camera_live_stats().items()):
-            if camera_id in camera_cooldowns:
-                continue
-            camera_util = stats.frame_rate * stats.service_seconds / workers
-            blackout = config.cost_model.blackout_for(
-                stats.resolution, destination_resolutions
-            )
-            lost = config.cost_model.frames_lost(stats.frame_rate, blackout)
-            excess_util = max(0.0, source_utilization - 1.0)
-            saved_fps = min(
-                stats.frame_rate,
-                excess_util * workers / max(stats.service_seconds, 1e-12),
-            )
-            saved = saved_fps * remaining_seconds
-            residual = abs(gap - 2.0 * camera_util)
-            detail = (
-                ("camera_utilization", camera_util),
-                ("blackout_seconds", blackout),
-                ("frames_lost", lost),
-                ("frames_saved", saved),
-            )
-            viable = 0 < camera_util <= gap and saved >= lost * config.payback_factor
-            scored[camera_id] = (residual, detail, viable)
-            if not viable:
-                continue
-            if best is None or (residual, camera_id) < best:
-                best = (residual, camera_id)
-                best_blackout = blackout
-        candidates = tuple(
-            CandidateScore(
-                candidate_id=camera_id,
-                score=residual,
-                chosen=best is not None and camera_id == best[1],
-                detail=detail,
-            )
-            for camera_id, (residual, detail, _viable) in sorted(scored.items())
-        )
-        if best is None:
-            return None, candidates
-        return (
-            MigrateCamera(
-                camera_id=best[1],
-                source=self.node_id,
-                destination=destination.node_id,
-                blackout_seconds=best_blackout,
-            ),
-            candidates,
+        return pick_victim(
+            NodeView(self.node_id, self.runtime),
+            destination.node_id,
+            set(destination.resolutions),
+            source_utilization,
+            destination_utilization,
+            remaining_seconds,
+            config,
+            camera_cooldowns,
         )
 
-    # -- accounting & provenance ----------------------------------------------
-    def _account(self, controller: Controller, action: ControlAction, now: float) -> None:
-        self.decision_log.append(
-            f"t={now:.3f} {self.node_id}/{controller.name}: {action.describe()}"
-        )
-        self.telemetry.counter("control.actions.total").inc()
-        self.telemetry.counter(f"control.actions.{controller.name}").inc()
-        if isinstance(action, SetCameraQuota) and action.quota is not None:
-            self.telemetry.counter("control.shedding.interventions").inc()
-        elif isinstance(action, SetCameraThreshold):
-            self.telemetry.counter("control.threshold.drifts").inc()
 
-    def _collect_provenance(
-        self,
-        controller: Controller,
-        actions: Sequence[ControlAction],
-        action_start: int,
-        now: float,
-    ) -> None:
-        """Stamp the controller's staged records into the shared stream."""
-        drain = getattr(controller, "drain_decision_records", None)
-        records = drain() if callable(drain) else []
-        claimed = sum(len(record.actions) for record in records)
-        if claimed != len(actions):
-            records = [
-                DecisionRecord(
-                    controller=controller.name,
-                    kind="action",
-                    node_id=self.node_id,
-                    actions=(action.describe(),),
-                )
-                for action in actions
-            ]
-        cursor = action_start
-        for record in records:
-            entry = record.to_dict()
-            entry.setdefault("node_id", self.node_id)
-            entry["level"] = "node"
-            entry["tick"] = self.ticks - 1
-            entry["t"] = now
-            entry["seq"] = len(self.decision_records)
-            entry["action_seqs"] = list(range(cursor, cursor + len(record.actions)))
-            cursor += len(record.actions)
-            self.decision_records.append(entry)
-            self.telemetry.counter("control.decisions.total").inc()
-            if record.is_noop:
-                self.telemetry.counter("control.decisions.noop").inc()
+@dataclass(frozen=True)
+class AggregateView:
+    """The coordinator's window onto one node: its aggregate, nothing per camera.
+
+    Stands in for :class:`~repro.control.policies.NodeView` in the cluster
+    view the coordinator's controllers see.  Counters are the aggregate's
+    fixed set, read by metric name; a per-camera question (which camera to
+    migrate) goes to the node's own ``plane``.
+    """
+
+    aggregate: NodeAggregate
+    plane: NodeControlPlane
+
+    @property
+    def node_id(self) -> str:
+        """The summarized node's id."""
+        return self.aggregate.node_id
 
     def counter_value(self, name: str) -> float:
-        """Current value of one local control counter (0.0 when absent)."""
-        return self.telemetry.counters().get(name, 0.0)
+        """One aggregated node counter (``KeyError`` for any other metric)."""
+        return getattr(self.aggregate, _AGGREGATE_FIELDS[name])
+
+
+class _ClusterUplink(UplinkShareController):
+    """The flat uplink policy, fed aggregate matched-frame counts."""
+
+    name = "cluster_uplink"
+
+
+class _ClusterMigration(MigrationController):
+    """The flat migration policy over aggregate utilizations.
+
+    The source node's plane nominates the camera, so the policy's gates and
+    cooldowns run here while per-camera stats stay on the node.
+    """
+
+    name = "cluster_migration"
+
+    def _offered_utilization(self, node: AggregateView, interval: float) -> float:
+        return node.aggregate.offered_utilization
+
+    def _pick_move(
+        self,
+        view: ClusterView,
+        source_id: str,
+        destination_id: str,
+        utilizations: dict[str, float],
+    ) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
+        return view.node(source_id).plane.nominate_victim(
+            view.node(destination_id).aggregate,
+            utilizations[source_id],
+            utilizations[destination_id],
+            view.remaining_seconds,
+            self.config,
+            self._camera_cooldowns,
+        )
 
 
 class ClusterCoordinator:
-    """Cluster-scope decisions from per-node aggregates — never full registries.
+    """Cluster-scope policies over per-node aggregates — never full registries.
 
-    Two policies, both re-reading their flat-plane math from aggregates:
+    Hosts the flat policies, re-read from :class:`AggregateView`\\ s:
 
-    * **uplink re-weighting** — EMA of each node's matched-frame deltas
-      (:class:`~repro.control.uplink.UplinkShareConfig` semantics: floor
-      every node, split the rest by demand, act only past the drift gate);
-    * **migration intent** — the :class:`~repro.control.migration.MigrationConfig`
-      gates (imbalance, overload, headroom, sustain, cooldown) applied to
-      aggregate offered utilizations.  The coordinator names the
-      ``(source, destination)`` pair; the source node picks the camera.
+    * **uplink re-weighting** — an
+      :class:`~repro.control.uplink.UplinkShareController` (logged as
+      ``cluster_uplink``) over each node's aggregate matched-frame count;
+    * **migration** — a :class:`~repro.control.migration.MigrationController`
+      (logged as ``cluster_migration``) gating on aggregate offered
+      utilizations.  It names the ``(source, destination)`` pair; the
+      source's plane picks the camera.
     """
 
     def __init__(
@@ -503,253 +440,35 @@ class ClusterCoordinator:
     ) -> None:
         self.uplink_config = uplink_config or UplinkShareConfig()
         self.migration_config = migration_config or MigrationConfig()
-        self._last_matched: dict[str, float] = {}
-        self._demand_ema: dict[str, float] = {}
-        self._sustained = 0
-        self._cooldown = 0
-        self.camera_cooldowns: dict[str, int] = {}
-        self.migrations: list[tuple[float, str, str, str]] = []
-        self._provenance = ProvenanceBuffer()
+        self._uplink = _ClusterUplink(self.uplink_config)
+        self._migration = _ClusterMigration(self.migration_config)
 
-    # -- provenance ------------------------------------------------------------
-    def record_decision(self, record: DecisionRecord) -> None:
-        """Stage one decision record for the hierarchy to collect this tick."""
-        self._provenance.append(record)
+    @property
+    def controllers(self) -> tuple[Controller, Controller]:
+        """The hosted policies, in tick order: uplink, then migration."""
+        return (self._uplink, self._migration)
 
-    def drain_decision_records(self) -> list[DecisionRecord]:
-        """Remove and return every staged record (hierarchy-facing)."""
-        return self._provenance.drain()
-
-    # -- uplink re-weighting ---------------------------------------------------
-    def decide_uplink(
-        self,
-        aggregates: Mapping[str, NodeAggregate],
-        uplink_weights: Mapping[str, float] | None,
-    ) -> SetUplinkWeights | None:
-        """One weight update when aggregate demand drifts past the threshold."""
-        config = self.uplink_config
-        gates = {
-            "smoothing": config.smoothing,
-            "min_share": config.min_share,
-            "rebalance_threshold": config.rebalance_threshold,
-        }
-        if uplink_weights is None:
-            self.record_decision(
-                DecisionRecord(
-                    controller="cluster_uplink",
-                    kind="idle",
-                    gates=gates,
-                    reason="statically sliced uplink, nothing to actuate",
-                )
-            )
-            return None
-        node_ids = sorted(uplink_weights)
-        for node_id in node_ids:
-            aggregate = aggregates.get(node_id)
-            matched = aggregate.frames_matched if aggregate is not None else 0.0
-            delta = max(0.0, matched - self._last_matched.get(node_id, 0.0))
-            self._last_matched[node_id] = matched
-            previous = self._demand_ema.get(node_id, 0.0)
-            alpha = config.smoothing
-            self._demand_ema[node_id] = (1 - alpha) * previous + alpha * delta
-        total_demand = sum(self._demand_ema.get(n, 0.0) for n in node_ids)
-        if total_demand <= 0:
-            self.record_decision(
-                DecisionRecord(
-                    controller="cluster_uplink",
-                    kind="hold",
-                    inputs={"total_demand_ema": total_demand},
-                    gates=gates,
-                    reason="no upload demand observed yet",
-                )
-            )
-            return None
-        floor = min(config.min_share, 1.0 / len(node_ids))
-        spare = 1.0 - floor * len(node_ids)
-        target = {
-            n: floor + spare * self._demand_ema.get(n, 0.0) / total_demand
-            for n in node_ids
-        }
-        current_total = sum(uplink_weights[n] for n in node_ids)
-        current = {n: uplink_weights[n] / current_total for n in node_ids}
-        drift = max(abs(target[n] - current[n]) for n in node_ids)
-        rebalance = drift > config.rebalance_threshold
-        candidates = tuple(
-            CandidateScore(
-                candidate_id=n,
-                score=target[n] - current[n],
-                chosen=rebalance,
-                detail=(
-                    ("target_share", target[n]),
-                    ("current_share", current[n]),
-                    ("demand_ema", self._demand_ema.get(n, 0.0)),
-                ),
-            )
-            for n in node_ids
-        )
-        if not rebalance:
-            self.record_decision(
-                DecisionRecord(
-                    controller="cluster_uplink",
-                    kind="hold",
-                    inputs={"total_demand_ema": total_demand, "max_drift": drift},
-                    gates=gates,
-                    candidates=candidates,
-                    reason="demand drift inside the rebalance threshold",
-                )
-            )
-            return None
-        action = SetUplinkWeights(
-            weights=tuple((n, max(round(target[n], 6), 1e-6)) for n in node_ids)
-        )
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_uplink",
-                kind="rebalance",
-                inputs={"total_demand_ema": total_demand, "max_drift": drift},
-                gates=gates,
-                candidates=candidates,
-                actions=(action.describe(),),
-            )
-        )
-        return action
-
-    # -- migration -------------------------------------------------------------
-    def _migration_gates(self, extra: dict | None = None) -> dict:
-        config = self.migration_config
-        gates = {
-            "imbalance_threshold": config.imbalance_threshold,
-            "overload_threshold": config.overload_threshold,
-            "headroom_threshold": config.headroom_threshold,
-            "sustain_ticks": config.sustain_ticks,
-            "cooldown_ticks": config.cooldown_ticks,
-            "payback_factor": config.payback_factor,
-        }
-        if extra:
-            gates.update(extra)
-        return gates
-
-    def _hold_migration(self, reason: str, inputs: dict, extra: dict | None = None) -> None:
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_migration",
-                kind="hold",
-                inputs=inputs,
-                gates=self._migration_gates(extra),
-                reason=reason,
-            )
-        )
-
-    def decide_migration(
-        self, aggregates: Mapping[str, NodeAggregate]
-    ) -> tuple[str, str] | None:
-        """Name a ``(source, destination)`` pair when imbalance sustains.
-
-        Returns the intent only; the caller asks the source node's plane to
-        nominate a camera and must report the outcome via
-        :meth:`note_migration` (applied) or :meth:`note_no_candidate`.
-        """
-        config = self.migration_config
-        utilizations = {
-            node_id: aggregates[node_id].offered_utilization
-            for node_id in sorted(aggregates)
-        }
-        for camera_id in sorted(self.camera_cooldowns):
-            self.camera_cooldowns[camera_id] -= 1
-            if self.camera_cooldowns[camera_id] <= 0:
-                del self.camera_cooldowns[camera_id]
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            self._sustained = 0
-            self._hold_migration(
-                "migration cooldown active",
-                {"cooldown_remaining": float(self._cooldown)},
-            )
-            return None
-        if len(utilizations) < 2:
-            self._hold_migration(
-                "fewer than two nodes, nowhere to move",
-                {"nodes": float(len(utilizations))},
-            )
-            return None
-        mean = sum(utilizations.values()) / len(utilizations)
-        hottest = max(sorted(utilizations), key=lambda n: utilizations[n])
-        coolest = min(sorted(utilizations), key=lambda n: utilizations[n])
-        inputs = {
-            "mean_utilization": mean,
-            "hottest_utilization": utilizations[hottest],
-            "coolest_utilization": utilizations[coolest],
-            "sustained_ticks": float(self._sustained),
-        }
-        extra = {"hottest": hottest, "coolest": coolest}
-        imbalanced = (
-            mean > 0
-            and utilizations[hottest] / mean > config.imbalance_threshold
-            and utilizations[hottest] > config.overload_threshold
-            and utilizations[coolest] < config.headroom_threshold
-        )
-        if not imbalanced:
-            self._sustained = 0
-            self._hold_migration("cluster inside the imbalance gates", inputs, extra)
-            return None
-        self._sustained += 1
-        inputs["sustained_ticks"] = float(self._sustained)
-        if self._sustained < config.sustain_ticks:
-            self._hold_migration("imbalance observed but not yet sustained", inputs, extra)
-            return None
-        self._pending_inputs = inputs
-        self._pending_extra = extra
-        return hottest, coolest
-
-    def note_migration(
-        self,
-        now: float,
-        action: MigrateCamera,
-        candidates: tuple[CandidateScore, ...] = (),
-    ) -> None:
-        """Record an applied handoff and start both cooldowns."""
-        config = self.migration_config
-        self._sustained = 0
-        self._cooldown = config.cooldown_ticks
-        self.camera_cooldowns[action.camera_id] = config.camera_cooldown_ticks
-        self.migrations.append((now, action.camera_id, action.source, action.destination))
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_migration",
-                kind="migrate",
-                inputs=getattr(self, "_pending_inputs", {}),
-                gates=self._migration_gates(getattr(self, "_pending_extra", None)),
-                candidates=candidates,
-                actions=(action.describe(),),
-            )
-        )
-
-    def note_no_candidate(self, candidates: tuple[CandidateScore, ...] = ()) -> None:
-        """Record that the nominated source had no camera paying back its move."""
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_migration",
-                kind="hold",
-                inputs=getattr(self, "_pending_inputs", {}),
-                gates=self._migration_gates(getattr(self, "_pending_extra", None)),
-                candidates=candidates,
-                reason="no candidate camera pays back its blackout",
-            )
-        )
+    @property
+    def migrations(self) -> list[tuple[float, str, str, str]]:
+        """Every handoff so far as ``(time, camera, source, destination)``."""
+        return self._migration.migrations
 
 
-class HierarchicalControlPlane:
+class HierarchicalControlPlane(ControlLoop):
     """Two-level control over a sharded cluster: local loops + coordinator.
 
     Built to be driven by :meth:`repro.fleet.sharding.ShardedFleetRuntime.run`'s
     lockstep driver: :meth:`bind` creates one :class:`NodeControlPlane` per
     node, then each :meth:`tick` runs every local loop, ships one
-    :class:`NodeAggregate` per node to the :class:`ClusterCoordinator`,
-    applies cluster actions, and maintains a fixed-size cluster telemetry
-    rollup (gauges derived from aggregates — never a full registry merge).
-    :attr:`payload_bytes` records each tick's total coordination payload,
-    the quantity the scale benchmark pins as O(nodes).
+    :class:`NodeAggregate` per node to the :class:`ClusterCoordinator`'s
+    controllers, applies their actions, and maintains a fixed-size cluster
+    telemetry rollup (gauges derived from aggregates — never a full registry
+    merge).  :attr:`payload_bytes` records each tick's total coordination
+    payload, the quantity the scale benchmark pins as O(nodes).
     """
+
+    _scope = "cluster"
+    _level = "cluster"
 
     def __init__(
         self,
@@ -759,19 +478,12 @@ class HierarchicalControlPlane:
         telemetry: TelemetryRegistry | None = None,
         timeline: MetricsTimeline | None = None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        self.controllers_factory = controllers_factory or default_local_controllers
-        self.interval_seconds = float(interval_seconds)
         self.coordinator = coordinator or ClusterCoordinator()
-        self.telemetry = telemetry or TelemetryRegistry()
-        self.timeline = timeline
+        super().__init__(self.coordinator.controllers, interval_seconds, telemetry, timeline)
+        self.controllers_factory = controllers_factory or default_local_controllers
         self.planes: dict[str, NodeControlPlane] = {}
-        self.decision_log: list[str] = []
-        self.decision_records: list[dict] = []
         self.payload_bytes: list[int] = []
         self.last_aggregates: dict[str, NodeAggregate] = {}
-        self.ticks = 0
 
     # -- wiring ----------------------------------------------------------------
     def bind(self, cluster) -> None:
@@ -793,64 +505,36 @@ class HierarchicalControlPlane:
         """Local loops, aggregate exchange, cluster decisions — one interval."""
         if not self.planes:
             self.bind(cluster)
-        self.ticks += 1
-        self.telemetry.counter("control.ticks").inc()
         horizon = max(
             (runtime.horizon for runtime in cluster.nodes.values()), default=0.0
         )
         guarantees = cluster.uplink_guarantees()
         # Level 1: every node runs its local loop, then sends one aggregate up.
-        aggregates: dict[str, NodeAggregate] = {}
-        for node_id in sorted(self.planes):
-            aggregates[node_id] = self.planes[node_id].tick(
-                now, horizon, guarantees.get(node_id)
-            )
+        aggregates = {
+            node_id: plane.tick(now, horizon, guarantees.get(node_id))
+            for node_id, plane in sorted(self.planes.items())
+        }
         self.last_aggregates = aggregates
         payload = sum(agg.payload_bytes() for agg in aggregates.values())
         self.payload_bytes.append(payload)
-        # Level 2: the coordinator acts on aggregates only.
-        actuator = ClusterActuator(cluster)
-        applied: list[ControlAction] = []
-        weights = cluster.current_uplink_weights()
-        action_start = len(self.decision_log)
-        uplink_action = self.coordinator.decide_uplink(aggregates, weights)
-        if uplink_action is not None:
-            actuator.apply(uplink_action, now)
-            self._account("cluster_uplink", uplink_action, now)
-            applied.append(uplink_action)
-        self._collect_coordinator(
-            [uplink_action] if uplink_action is not None else [], action_start, now
+        # Level 2: the coordinator's policies see aggregates only.
+        view = ClusterView(
+            now=now,
+            interval=self.interval_seconds,
+            tick_index=self.ticks,
+            nodes=tuple(
+                AggregateView(aggregate, self.planes[node_id])
+                for node_id, aggregate in aggregates.items()
+            ),
+            horizon=horizon,
+            uplink_weights=cluster.current_uplink_weights(),
+            uplink_guarantees=guarantees,
         )
-        action_start = len(self.decision_log)
-        migration_action: MigrateCamera | None = None
-        intent = self.coordinator.decide_migration(aggregates)
-        if intent is not None:
-            source, destination = intent
-            migration_action, candidates = self.planes[source].nominate_victim(
-                aggregates[destination],
-                aggregates[source].offered_utilization,
-                aggregates[destination].offered_utilization,
-                max(0.0, horizon - now),
-                self.coordinator.migration_config,
-                self.coordinator.camera_cooldowns,
-            )
-            if migration_action is not None:
-                actuator.apply(migration_action, now)
-                self.coordinator.note_migration(now, migration_action, candidates)
-                self._account("cluster_migration", migration_action, now)
-                applied.append(migration_action)
-            else:
-                self.coordinator.note_no_candidate(candidates)
-        self._collect_coordinator(
-            [migration_action] if migration_action is not None else [], action_start, now
-        )
+        applied = self._step(view, ClusterActuator(cluster))
         self._update_rollup(now, aggregates, payload)
-        if self.timeline is not None:
-            for node_id in sorted(self.planes):
-                self.timeline.scrape(
-                    now, node_id, self.planes[node_id].runtime.telemetry
-                )
-            self.timeline.scrape(now, "cluster", self.telemetry)
+        self._scrape(
+            now, {node_id: plane.runtime for node_id, plane in sorted(self.planes.items())}
+        )
         return applied
 
     # -- cluster rollup (O(nodes) per tick, fixed metric set) ------------------
@@ -887,49 +571,9 @@ class HierarchicalControlPlane:
         gauges("cluster.coordination.payload_bytes").set(payload)
         gauges("cluster.migrations.performed").set(len(self.coordinator.migrations))
 
-    # -- accounting & provenance ----------------------------------------------
-    def _account(self, controller_name: str, action: ControlAction, now: float) -> None:
-        self.decision_log.append(
-            f"t={now:.3f} cluster/{controller_name}: {action.describe()}"
-        )
-        self.telemetry.counter("control.actions.total").inc()
-        self.telemetry.counter(f"control.actions.{controller_name}").inc()
-        if isinstance(action, MigrateCamera):
-            self.telemetry.counter("control.migration.performed").inc()
-        elif isinstance(action, SetUplinkWeights):
-            self.telemetry.counter("control.uplink.rebalances").inc()
-
-    def _collect_coordinator(
-        self, actions: Sequence[ControlAction], action_start: int, now: float
-    ) -> None:
-        records = self.coordinator.drain_decision_records()
-        claimed = sum(len(record.actions) for record in records)
-        if claimed != len(actions):
-            records = [
-                DecisionRecord(
-                    controller="cluster",
-                    kind="action",
-                    actions=(action.describe(),),
-                )
-                for action in actions
-            ]
-        cursor = action_start
-        for record in records:
-            entry = record.to_dict()
-            entry["level"] = "cluster"
-            entry["tick"] = self.ticks - 1
-            entry["t"] = now
-            entry["seq"] = len(self.decision_records)
-            entry["action_seqs"] = list(range(cursor, cursor + len(record.actions)))
-            cursor += len(record.actions)
-            self.decision_records.append(entry)
-            self.telemetry.counter("control.decisions.total").inc()
-            if record.is_noop:
-                self.telemetry.counter("control.decisions.noop").inc()
-
     def counter_value(self, name: str) -> float:
         """One control counter summed across the coordinator and all planes."""
-        total = self.telemetry.counters().get(name, 0.0)
+        total = super().counter_value(name)
         for node_id in sorted(self.planes):
             total += self.planes[node_id].counter_value(name)
         return total

@@ -10,6 +10,13 @@ identical views on identical runs, and every applied action lands in
 :attr:`ControlLoop.decision_log` plus the control telemetry registry, so two
 runs can be compared decision-for-decision.
 
+The loop's decide/apply/account/provenance step is the only one in the
+package: the hierarchy's node planes and cluster level
+(:mod:`repro.control.hierarchy`) are ``ControlLoop`` subclasses that build
+their own views and differ only in how they stamp what they log.
+:func:`run_lockstep` is the one lockstep stepping loop, shared with
+:class:`~repro.fleet.sharding.ShardedFleetRuntime`.
+
 Two actuators ship here:
 
 * :class:`ClusterActuator` — binds the loop to a
@@ -22,7 +29,8 @@ Two actuators ship here:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import math
+from typing import Callable, Mapping, Sequence
 
 from repro.control.policies import (
     ClusterView,
@@ -40,7 +48,46 @@ from repro.fleet.runtime import FleetRuntime
 from repro.fleet.telemetry import TelemetryRegistry
 from repro.obs.timeline import MetricsTimeline
 
-__all__ = ["ControlLoop", "ClusterActuator", "NodeActuator"]
+__all__ = [
+    "ControlLoop",
+    "ClusterActuator",
+    "NodeActuator",
+    "check_interval",
+    "run_lockstep",
+]
+
+
+def check_interval(seconds: float, name: str = "interval_seconds") -> float:
+    """``seconds`` as a float, or ``ValueError`` unless it is finite and positive.
+
+    A NaN interval passes a plain ``<= 0`` check and then never advances
+    the lockstep clock past the feeds' end, so the run never returns.
+    """
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
+    return float(seconds)
+
+
+def run_lockstep(
+    nodes: Mapping[str, FleetRuntime],
+    interval_seconds: float,
+    on_tick: Callable[[float], object],
+) -> None:
+    """Advance every started node in lockstep, calling ``on_tick`` at each boundary.
+
+    The one stepping loop behind every synchronized run path (flat control
+    loop, hierarchical plane, timeline-only scraping): all nodes advance to
+    each tick time before ``on_tick`` observes, so it always sees a
+    consistent cluster snapshot.  The run ends when no node has pending
+    events (migrations can add events, so the check re-runs every tick).
+    """
+    interval_seconds = check_interval(interval_seconds)
+    tick_time = interval_seconds
+    while any(runtime.has_pending_events for runtime in nodes.values()):
+        for runtime in nodes.values():
+            runtime.advance_until(tick_time)
+        on_tick(tick_time)
+        tick_time += interval_seconds
 
 
 class ClusterActuator:
@@ -116,6 +163,14 @@ class NodeActuator:
 class ControlLoop:
     """Ticks controllers at a fixed simulated interval and applies actions."""
 
+    # How the loop stamps what it logs.  The flat loop writes bare controller
+    # names and scrapes its own counters as "control"; the hierarchy's planes
+    # set a scope ("node0", "cluster") that prefixes log lines and names the
+    # scrape source, a provenance ``level`` and, node planes only, a node id.
+    _scope: str | None = None
+    _level: str | None = None
+    _node_id: str | None = None
+
     def __init__(
         self,
         controllers: Sequence[Controller],
@@ -123,14 +178,12 @@ class ControlLoop:
         telemetry: TelemetryRegistry | None = None,
         timeline: MetricsTimeline | None = None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        self.interval_seconds = check_interval(interval_seconds)
         names = [c.name for c in controllers]
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
         self.controllers = list(controllers)
-        self.interval_seconds = float(interval_seconds)
         self.telemetry = telemetry or TelemetryRegistry()
         # Optional metrics timeline: when set, every tick scrapes each node's
         # registry (plus the loop's own control counters under "control"), so
@@ -144,53 +197,51 @@ class ControlLoop:
         self.ticks = 0
 
     # -- driving -------------------------------------------------------------
-    def drive(self, nodes: Mapping[str, FleetRuntime], actuator) -> None:
-        """Run every node to completion, ticking between intervals.
-
-        All nodes advance to each tick time before any controller observes,
-        so every controller sees a consistent cluster snapshot.  The loop
-        ends when no node has pending events (migrations can add events, so
-        the check re-runs every tick).
-        """
-        tick_time = self.interval_seconds
-        while any(runtime.has_pending_events for runtime in nodes.values()):
-            for runtime in nodes.values():
-                runtime.advance_until(tick_time)
-            self.tick(tick_time, nodes, actuator)
-            tick_time += self.interval_seconds
-
     def run_node(self, runtime: FleetRuntime, node_id: str = "node0") -> None:
         """Drive one standalone node under this loop (shedding policies)."""
         runtime.start()
-        self.drive({node_id: runtime}, NodeActuator(runtime, node_id))
+        nodes = {node_id: runtime}
+        actuator = NodeActuator(runtime, node_id)
+        run_lockstep(
+            nodes, self.interval_seconds, lambda now: self.tick(now, nodes, actuator)
+        )
 
     def tick(self, now: float, nodes: Mapping[str, FleetRuntime], actuator) -> list[ControlAction]:
         """Observe, decide, and actuate once; returns the applied actions."""
-        self.ticks += 1
-        self.telemetry.counter("control.ticks").inc()
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
-            tick_index=self.ticks - 1,
+            tick_index=self.ticks,
             nodes=tuple(NodeView(node_id, runtime) for node_id, runtime in nodes.items()),
             horizon=max((runtime.horizon for runtime in nodes.values()), default=0.0),
             uplink_weights=actuator.uplink_weights,
             uplink_guarantees=getattr(actuator, "uplink_guarantees", None),
         )
+        applied = self._step(view, actuator)
+        self._scrape(now, nodes)
+        return applied
+
+    def _step(self, view: ClusterView, actuator) -> list[ControlAction]:
+        """Run every controller once against ``view``, applying and logging its actions."""
+        self.ticks += 1
+        self.telemetry.counter("control.ticks").inc()
         applied: list[ControlAction] = []
         for controller in self.controllers:
             action_start = len(self.decision_log)
             actions = controller.decide(view)
             for action in actions:
-                actuator.apply(action, now)
-                self._account(controller, action, now)
+                actuator.apply(action, view.now)
+                self._account(controller, action, view.now)
                 applied.append(action)
-            self._collect_provenance(controller, actions, action_start, now)
-        if self.timeline is not None:
-            for node_id, runtime in nodes.items():
-                self.timeline.scrape(now, node_id, runtime.telemetry)
-            self.timeline.scrape(now, "control", self.telemetry)
+            self._collect_provenance(controller, actions, action_start, view.now)
         return applied
+
+    def _scrape(self, now: float, nodes: Mapping[str, FleetRuntime]) -> None:
+        if self.timeline is None:
+            return
+        for node_id, runtime in nodes.items():
+            self.timeline.scrape(now, node_id, runtime.telemetry)
+        self.timeline.scrape(now, self._scope or "control", self.telemetry)
 
     # -- decision provenance ---------------------------------------------------
     def _collect_provenance(
@@ -219,6 +270,7 @@ class ControlLoop:
                 DecisionRecord(
                     controller=controller.name,
                     kind="action",
+                    node_id=self._node_id,
                     actions=(action.describe(),),
                 )
                 for action in actions
@@ -226,6 +278,10 @@ class ControlLoop:
         cursor = action_start
         for record in records:
             entry = record.to_dict()
+            if self._node_id is not None:
+                entry["node_id"] = self._node_id
+            if self._level is not None:
+                entry["level"] = self._level
             entry["tick"] = self.ticks - 1
             entry["t"] = now
             entry["seq"] = len(self.decision_records)
@@ -238,7 +294,8 @@ class ControlLoop:
 
     # -- accounting ----------------------------------------------------------
     def _account(self, controller: Controller, action: ControlAction, now: float) -> None:
-        self.decision_log.append(f"t={now:.3f} {controller.name}: {action.describe()}")
+        scope = f"{self._scope}/" if self._scope else ""
+        self.decision_log.append(f"t={now:.3f} {scope}{controller.name}: {action.describe()}")
         self.telemetry.counter("control.actions.total").inc()
         self.telemetry.counter(f"control.actions.{controller.name}").inc()
         if isinstance(action, SetCameraQuota) and action.quota is not None:

@@ -19,11 +19,18 @@ Flapping is prevented three ways: the imbalance must *sustain* for
 ``sustain_ticks`` consecutive ticks, every move starts a ``cooldown_ticks``
 quiet period, and a camera that just moved cannot move again for
 ``camera_cooldown_ticks``.
+
+The two node-local halves of the policy — the :func:`offered_utilization`
+estimate and :func:`pick_victim`'s camera scoring — are plain functions, so
+the hierarchical plane runs them on the node itself and only scalars cross
+the node boundary (:mod:`repro.control.hierarchy`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
 
 from repro.control.policies import (
     ClusterView,
@@ -34,7 +41,16 @@ from repro.control.policies import (
 )
 from repro.control.provenance import CandidateScore, DecisionRecord
 
-__all__ = ["MigrationCostModel", "MigrationConfig", "MigrationController"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.fleet.runtime import CameraLiveStats
+
+__all__ = [
+    "MigrationCostModel",
+    "MigrationConfig",
+    "MigrationController",
+    "offered_utilization",
+    "pick_victim",
+]
 
 
 @dataclass(frozen=True)
@@ -45,7 +61,7 @@ class MigrationCostModel:
     cold_start_seconds: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.blackout_seconds < 0 or self.cold_start_seconds < 0:
+        if not (self.blackout_seconds >= 0 and self.cold_start_seconds >= 0):
             raise ValueError("blackout and cold-start seconds must be non-negative")
 
     def blackout_for(
@@ -80,12 +96,122 @@ class MigrationConfig:
     cost_model: MigrationCostModel = field(default_factory=MigrationCostModel)
 
     def __post_init__(self) -> None:
+        # Every comparison against NaN is false, so a NaN gate would
+        # silently switch the policy off instead of failing here.
+        for name in (
+            "imbalance_threshold",
+            "overload_threshold",
+            "headroom_threshold",
+            "payback_factor",
+        ):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
         if self.imbalance_threshold <= 1.0:
             raise ValueError("imbalance_threshold must exceed 1.0")
         if self.sustain_ticks < 1 or self.cooldown_ticks < 0 or self.camera_cooldown_ticks < 0:
             raise ValueError("tick windows must be non-negative (sustain at least 1)")
         if self.payback_factor < 1.0:
             raise ValueError("payback_factor must be at least 1.0")
+
+
+def offered_utilization(
+    live_stats: Mapping[str, "CameraLiveStats"],
+    num_workers: int,
+    interval: float,
+    last_generated: dict[str, int],
+) -> float:
+    """Arriving work over the last interval, per worker-second of one node.
+
+    ``last_generated`` holds the caller's per-camera ``generated`` counters
+    from the previous call and is advanced in place.
+    """
+    work_seconds = 0.0
+    for camera_id, stats in live_stats.items():
+        previous = last_generated.get(camera_id, 0)
+        delta = max(0, stats.generated - previous)
+        last_generated[camera_id] = stats.generated
+        # Attach-time blackout losses land in `generated` as one lump;
+        # cap the window at what the camera can physically offer so
+        # phantom frames cannot mark a just-relieved node as hot.
+        delta = min(delta, int(stats.frame_rate * interval) + 1)
+        work_seconds += delta * stats.service_seconds
+    return work_seconds / (num_workers * interval)
+
+
+def pick_victim(
+    source: NodeView,
+    destination_id: str,
+    destination_resolutions: set[tuple[int, int]],
+    source_utilization: float,
+    destination_utilization: float,
+    remaining_seconds: float,
+    config: MigrationConfig,
+    camera_cooldowns: Mapping[str, int],
+) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
+    """Score the source node's cameras for one move and pick the best.
+
+    Every cooldown-free camera is a scored candidate; the score is the
+    pair-leveling residual (lower = better move).  A camera is viable when
+    its utilization fits the pair's gap and the frames its departure saves
+    pay back its blackout by ``config.payback_factor``.
+    """
+    gap = source_utilization - destination_utilization
+    if gap <= 0:
+        return None, ()
+    best: tuple[float, str] | None = None
+    best_blackout = 0.0
+    scored: dict[str, tuple[float, tuple[tuple[str, float], ...], bool]] = {}
+    num_workers = source.num_workers
+    for camera_id, stats in sorted(source.live_stats().items()):
+        if camera_id in camera_cooldowns:
+            continue
+        camera_util = stats.frame_rate * stats.service_seconds / num_workers
+        blackout = config.cost_model.blackout_for(stats.resolution, destination_resolutions)
+        lost = config.cost_model.frames_lost(stats.frame_rate, blackout)
+        # Frames the hotspot sheds that this camera's departure would save:
+        # the source's excess arrival work, expressed in frames of this
+        # camera, over the remaining horizon — capped by what the camera
+        # itself will offer.
+        excess_util = max(0.0, source_utilization - 1.0)
+        saved_fps = min(
+            stats.frame_rate, excess_util * num_workers / max(stats.service_seconds, 1e-12)
+        )
+        saved = saved_fps * remaining_seconds
+        residual = abs(gap - 2.0 * camera_util)
+        detail = (
+            ("camera_utilization", camera_util),
+            ("blackout_seconds", blackout),
+            ("frames_lost", lost),
+            ("frames_saved", saved),
+        )
+        viable = 0 < camera_util <= gap and saved >= lost * config.payback_factor
+        scored[camera_id] = (residual, detail, viable)
+        if not viable:
+            continue
+        # Prefer the camera whose move best levels the pair.
+        if best is None or (residual, camera_id) < best:
+            best = (residual, camera_id)
+            best_blackout = blackout
+    candidates = tuple(
+        CandidateScore(
+            candidate_id=camera_id,
+            score=residual,
+            chosen=best is not None and camera_id == best[1],
+            detail=detail,
+        )
+        for camera_id, (residual, detail, _viable) in sorted(scored.items())
+    )
+    if best is None:
+        return None, candidates
+    return (
+        MigrateCamera(
+            camera_id=best[1],
+            source=source.node_id,
+            destination=destination_id,
+            blackout_seconds=best_blackout,
+        ),
+        candidates,
+    )
 
 
 class MigrationController(Controller):
@@ -95,7 +221,7 @@ class MigrationController(Controller):
 
     def __init__(self, config: MigrationConfig | None = None) -> None:
         self.config = config or MigrationConfig()
-        self._last_generated: dict[tuple[str, str], int] = {}
+        self._last_generated: dict[str, dict[str, int]] = {}
         self._sustained = 0
         self._cooldown = 0
         self._camera_cooldowns: dict[str, int] = {}
@@ -104,18 +230,12 @@ class MigrationController(Controller):
     # -- observation ---------------------------------------------------------
     def _offered_utilization(self, node: NodeView, interval: float) -> float:
         """Arriving work over the last interval, per worker-second."""
-        work_seconds = 0.0
-        for camera_id, stats in node.live_stats().items():
-            key = (node.node_id, camera_id)
-            previous = self._last_generated.get(key, 0)
-            delta = max(0, stats.generated - previous)
-            self._last_generated[key] = stats.generated
-            # Attach-time blackout losses land in `generated` as one lump;
-            # cap the window at what the camera can physically offer so
-            # phantom frames cannot mark a just-relieved node as hot.
-            delta = min(delta, int(stats.frame_rate * interval) + 1)
-            work_seconds += delta * stats.service_seconds
-        return work_seconds / (node.num_workers * interval)
+        return offered_utilization(
+            node.live_stats(),
+            node.num_workers,
+            interval,
+            self._last_generated.setdefault(node.node_id, {}),
+        )
 
     def _gates(self, extra: dict | None = None) -> dict:
         gates = {
@@ -226,72 +346,13 @@ class MigrationController(Controller):
         destination_id: str,
         utilizations: dict[str, float],
     ) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
-        source = view.node(source_id)
-        destination = view.node(destination_id)
-        gap = utilizations[source_id] - utilizations[destination_id]
-        if gap <= 0:
-            return None, ()
-        destination_resolutions = {
-            stats.resolution for stats in destination.live_stats().values()
-        }
-        workers = source.num_workers
-        best: tuple[float, str] | None = None
-        best_blackout = 0.0
-        # Every cooldown-free camera on the hotspot is a scored candidate;
-        # score is the pair-leveling residual (lower = better move).
-        scored: dict[str, tuple[float, tuple[tuple[str, float], ...], bool]] = {}
-        for camera_id, stats in sorted(source.live_stats().items()):
-            if camera_id in self._camera_cooldowns:
-                continue
-            camera_util = stats.frame_rate * stats.service_seconds / workers
-            blackout = self.config.cost_model.blackout_for(
-                stats.resolution, destination_resolutions
-            )
-            lost = self.config.cost_model.frames_lost(stats.frame_rate, blackout)
-            # Frames the hotspot sheds that this camera's departure would save:
-            # the source's excess arrival work, expressed in frames of this
-            # camera, over the remaining horizon — capped by what the camera
-            # itself will offer.
-            excess_util = max(0.0, utilizations[source_id] - 1.0)
-            saved_fps = min(
-                stats.frame_rate, excess_util * workers / max(stats.service_seconds, 1e-12)
-            )
-            saved = saved_fps * view.remaining_seconds
-            residual = abs(gap - 2.0 * camera_util)
-            detail = (
-                ("camera_utilization", camera_util),
-                ("blackout_seconds", blackout),
-                ("frames_lost", lost),
-                ("frames_saved", saved),
-            )
-            viable = (
-                0 < camera_util <= gap
-                and saved >= lost * self.config.payback_factor
-            )
-            scored[camera_id] = (residual, detail, viable)
-            if not viable:
-                continue
-            # Prefer the camera whose move best levels the pair.
-            if best is None or (residual, camera_id) < best:
-                best = (residual, camera_id)
-                best_blackout = blackout
-        candidates = tuple(
-            CandidateScore(
-                candidate_id=camera_id,
-                score=residual,
-                chosen=best is not None and camera_id == best[1],
-                detail=detail,
-            )
-            for camera_id, (residual, detail, _viable) in sorted(scored.items())
-        )
-        if best is None:
-            return None, candidates
-        return (
-            MigrateCamera(
-                camera_id=best[1],
-                source=source_id,
-                destination=destination_id,
-                blackout_seconds=best_blackout,
-            ),
-            candidates,
+        return pick_victim(
+            view.node(source_id),
+            destination_id,
+            {stats.resolution for stats in view.node(destination_id).live_stats().values()},
+            utilizations[source_id],
+            utilizations[destination_id],
+            view.remaining_seconds,
+            self.config,
+            self._camera_cooldowns,
         )

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.control.hierarchy import HierarchicalControlPlane
-from repro.control.loop import ClusterActuator, ControlLoop
+from repro.control.loop import ClusterActuator, ControlLoop, check_interval, run_lockstep
 from repro.edge.uplink import (
     SharedTransferRequest,
     SharedUplink,
@@ -343,8 +343,7 @@ class ShardedFleetRuntime:
         hierarchy: HierarchicalControlPlane | None = None,
         event_plane: "EventDeliveryPlane | None" = None,
     ) -> None:
-        if scrape_interval <= 0:
-            raise ValueError("scrape_interval must be positive")
+        self.scrape_interval = check_interval(scrape_interval, "scrape_interval")
         if alert_rules and timeline is None:
             raise ValueError("alert_rules need a timeline to evaluate over")
         if control_loop is not None and hierarchy is not None:
@@ -355,7 +354,6 @@ class ShardedFleetRuntime:
         self.config = config or ShardingConfig()
         self.tracer = tracer
         self.timeline = timeline
-        self.scrape_interval = float(scrape_interval)
         self.alert_rules = list(alert_rules)
         ids = [spec.camera_id for spec in cameras]
         duplicates = {i for i in ids if ids.count(i) > 1}
@@ -454,23 +452,10 @@ class ShardedFleetRuntime:
 
     # -- orchestration -------------------------------------------------------
     def _run_lockstep(self, interval: float, on_tick) -> dict[str, FleetReport]:
-        """Advance every node in lockstep, firing ``on_tick`` at each boundary.
-
-        The one driver behind every interval-synchronized run path (flat
-        control loop, hierarchical plane, timeline-only scraping): all nodes
-        advance to each tick time before the callback observes, so it always
-        sees a consistent cluster snapshot.  The run ends when no node has
-        pending events (migrations can add events, so the check re-runs
-        every tick).
-        """
+        """Start every node, run :func:`~repro.control.loop.run_lockstep`, finalize."""
         for node_id in self.node_ids:
             self.nodes[node_id].start()
-        tick_time = interval
-        while any(runtime.has_pending_events for runtime in self.nodes.values()):
-            for node_id in self.node_ids:
-                self.nodes[node_id].advance_until(tick_time)
-            on_tick(tick_time)
-            tick_time += interval
+        run_lockstep(self.nodes, interval, on_tick)
         return {node_id: self.nodes[node_id].finalize() for node_id in self.node_ids}
 
     def run(self) -> ShardedFleetReport:
@@ -618,49 +603,29 @@ class ShardedFleetRuntime:
             )
 
         cluster_telemetry = TelemetryRegistry()
-        control_ticks = 0
-        shedding_interventions = 0
-        uplink_rebalances = 0
-        threshold_drifts = 0
-        control_log: list[str] = []
-        decision_records: list[dict] = []
-        coordination_payload_bytes: list[int] = []
-        if self.hierarchy is not None:
-            # Hierarchical runs never merge per-node registries into the
-            # cluster view: the cluster's telemetry is the coordinator's
-            # fixed-size rollup (gauges derived from per-node aggregates),
-            # so assembling it costs O(nodes), not O(cameras x metrics).
-            cluster_telemetry.merge(self.hierarchy.telemetry)
-            control_ticks = self.hierarchy.ticks
-            shedding_interventions = int(
-                self.hierarchy.counter_value("control.shedding.interventions")
-            )
-            uplink_rebalances = int(
-                self.hierarchy.counter_value("control.uplink.rebalances")
-            )
-            threshold_drifts = int(
-                self.hierarchy.counter_value("control.threshold.drifts")
-            )
-            control_log = list(self.hierarchy.decision_log)
-            decision_records = list(self.hierarchy.decision_records)
-            coordination_payload_bytes = list(self.hierarchy.payload_bytes)
-        else:
+        if self.hierarchy is None:
             for node_id in self.node_ids:
                 cluster_telemetry.merge(self.nodes[node_id].telemetry, prefix=f"{node_id}.")
-        if self.control_loop is not None:
-            cluster_telemetry.merge(self.control_loop.telemetry)
-            control_ticks = self.control_loop.ticks
-            shedding_interventions = int(
-                self.control_loop.counter_value("control.shedding.interventions")
+        # Hierarchical runs never merge per-node registries into the cluster
+        # view: the cluster's telemetry is the coordinator's fixed-size
+        # rollup (gauges derived from per-node aggregates), so assembling it
+        # costs O(nodes), not O(cameras x metrics).
+        plane = self.control_loop or self.hierarchy
+        control: dict[str, object] = {}
+        if plane is not None:
+            cluster_telemetry.merge(plane.telemetry)
+            control = dict(
+                control_ticks=plane.ticks,
+                control_log=list(plane.decision_log),
+                decision_records=list(plane.decision_records),
+                shedding_interventions=int(
+                    plane.counter_value("control.shedding.interventions")
+                ),
+                uplink_rebalances=int(plane.counter_value("control.uplink.rebalances")),
+                threshold_drifts=int(plane.counter_value("control.threshold.drifts")),
             )
-            uplink_rebalances = int(
-                self.control_loop.counter_value("control.uplink.rebalances")
-            )
-            threshold_drifts = int(
-                self.control_loop.counter_value("control.threshold.drifts")
-            )
-            control_log = list(self.control_loop.decision_log)
-            decision_records = list(self.control_loop.decision_records)
+        if self.hierarchy is not None:
+            control["coordination_payload_bytes"] = list(self.hierarchy.payload_bytes)
         alerts = (
             evaluate_alerts(self.timeline, self.alert_rules)
             if self.timeline is not None and self.alert_rules
@@ -681,13 +646,7 @@ class ShardedFleetRuntime:
             uplink_sharing=self.config.uplink_sharing,
             reclaimed_uplink_bits=reclaimed_bits,
             migrations_performed=len(self._migrations),
-            shedding_interventions=shedding_interventions,
-            uplink_rebalances=uplink_rebalances,
-            threshold_drifts=threshold_drifts,
-            control_ticks=control_ticks,
-            control_log=control_log,
-            decision_records=decision_records,
-            coordination_payload_bytes=coordination_payload_bytes,
+            **control,
             telemetry=cluster_telemetry.snapshot(),
             alerts=alerts,
             delivery=(

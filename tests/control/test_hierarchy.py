@@ -1,10 +1,13 @@
 """Hierarchical control plane: sketches, aggregates, coordinator, two levels."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.control.hierarchy import (
+    AggregateView,
     ClusterCoordinator,
     HierarchicalControlPlane,
     NodeAggregate,
@@ -12,11 +15,14 @@ from repro.control.hierarchy import (
     QuantileSketch,
     default_local_controllers,
 )
-from repro.control.migration import MigrationConfig
-from repro.control.uplink import UplinkShareConfig
-from repro.fleet.camera import generate_fleet
+from repro.control.migration import MigrationConfig, MigrationController, MigrationCostModel
+from repro.control.policies import ClusterView, MigrateCamera
+from repro.control.uplink import UplinkShareConfig, UplinkShareController
+from repro.fleet.camera import CameraSpec, generate_fleet
+from repro.fleet.queues import DropPolicy
 from repro.fleet.runtime import FleetConfig
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
+from repro.obs.timeline import MetricsTimeline
 
 FAST_NODE = FleetConfig(num_workers=2, queue_capacity=4, service_time_scale=0.05)
 
@@ -151,6 +157,14 @@ class TestNodeControlPlane:
                 controllers=[AdaptiveSheddingController(), AdaptiveSheddingController()],
             )
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_interval(self, interval):
+        from repro.fleet.runtime import FleetRuntime
+
+        runtime = FleetRuntime(small_fleet(2), config=FAST_NODE)
+        with pytest.raises(ValueError, match="interval_seconds"):
+            NodeControlPlane("node0", runtime, interval_seconds=interval)
+
     def test_default_controllers_are_node_scope(self):
         controllers = default_local_controllers("node0")
         assert len(controllers) >= 1
@@ -178,17 +192,39 @@ class TestClusterCoordinator:
             resolutions=((48, 32),),
         )
 
+    def _view(self, aggregates, uplink_weights=None, planes=None):
+        """The cluster view the coordinator's policies see: aggregates only."""
+        planes = planes or {}
+        return ClusterView(
+            now=1.0,
+            interval=0.25,
+            tick_index=0,
+            nodes=tuple(
+                AggregateView(aggregates[node_id], planes.get(node_id))
+                for node_id in sorted(aggregates)
+            ),
+            horizon=2.0,
+            uplink_weights=uplink_weights,
+        )
+
+    def test_hosts_the_flat_policies_under_cluster_names(self):
+        uplink, migration = ClusterCoordinator().controllers
+        assert isinstance(uplink, UplinkShareController)
+        assert isinstance(migration, MigrationController)
+        assert (uplink.name, migration.name) == ("cluster_uplink", "cluster_migration")
+
     def test_uplink_skews_toward_demand(self):
         coordinator = ClusterCoordinator(
             uplink_config=UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.05)
         )
+        uplink, _ = coordinator.controllers
         aggregates = {
             "node0": self._aggregate("node0", matched=90.0),
             "node1": self._aggregate("node1", matched=10.0),
         }
-        action = coordinator.decide_uplink(aggregates, {"node0": 1.0, "node1": 1.0})
-        assert action is not None
-        weights = dict(action.weights)
+        actions = uplink.decide(self._view(aggregates, {"node0": 1.0, "node1": 1.0}))
+        assert len(actions) == 1
+        weights = dict(actions[0].weights)
         assert weights["node0"] > weights["node1"]
         assert all(w > 0 for w in weights.values())
 
@@ -196,41 +232,66 @@ class TestClusterCoordinator:
         coordinator = ClusterCoordinator(
             uplink_config=UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.5)
         )
+        uplink, _ = coordinator.controllers
         aggregates = {
             "node0": self._aggregate("node0", matched=55.0),
             "node1": self._aggregate("node1", matched=45.0),
         }
-        action = coordinator.decide_uplink(aggregates, {"node0": 1.0, "node1": 1.0})
-        assert action is None
-        records = coordinator.drain_decision_records()
+        actions = uplink.decide(self._view(aggregates, {"node0": 1.0, "node1": 1.0}))
+        assert actions == []
+        records = uplink.drain_decision_records()
         assert any(r.kind == "hold" for r in records)
 
     def test_uplink_none_when_statically_sliced(self):
-        coordinator = ClusterCoordinator()
+        uplink, _ = ClusterCoordinator().controllers
         aggregates = {"node0": self._aggregate("node0", matched=10.0)}
-        assert coordinator.decide_uplink(aggregates, None) is None
+        assert uplink.decide(self._view(aggregates, None)) == []
+
+    def test_aggregate_view_exposes_only_aggregated_counters(self):
+        view = AggregateView(self._aggregate("node0", matched=7.0), plane=None)
+        assert view.node_id == "node0"
+        assert view.counter_value("frames.matched") == 7.0
+        with pytest.raises(KeyError):
+            view.counter_value("latency.queue_wait_seconds")
 
     def test_migration_gates_on_sustained_imbalance(self):
         coordinator = ClusterCoordinator(
             migration_config=MigrationConfig(sustain_ticks=2)
         )
+        _, migration = coordinator.controllers
         hot = {
             "node0": self._aggregate("node0", matched=0.0, utilization=2.0),
             "node1": self._aggregate("node1", matched=0.0, utilization=0.1),
         }
-        assert coordinator.decide_migration(hot) is None  # not yet sustained
-        intent = coordinator.decide_migration(hot)
-        assert intent == ("node0", "node1")
+        asked = []
+
+        class SourcePlane:
+            def nominate_victim(self, destination, source_util, dest_util, *_):
+                asked.append((destination.node_id, source_util, dest_util))
+                return (
+                    MigrateCamera("cam0", "node0", destination.node_id, 0.25),
+                    (),
+                )
+
+        view = self._view(hot, planes={"node0": SourcePlane()})
+        assert migration.decide(view) == []  # not yet sustained
+        assert asked == []
+        actions = migration.decide(view)
+        # Only the source node was asked, with aggregate utilizations.
+        assert asked == [("node1", 2.0, 0.1)]
+        assert [(a.source, a.destination) for a in actions] == [("node0", "node1")]
+        assert coordinator.migrations == [(1.0, "cam0", "node0", "node1")]
 
     def test_migration_holds_when_balanced(self):
         coordinator = ClusterCoordinator()
+        _, migration = coordinator.controllers
         balanced = {
             "node0": self._aggregate("node0", matched=0.0, utilization=0.5),
             "node1": self._aggregate("node1", matched=0.0, utilization=0.5),
         }
         for _ in range(4):
-            assert coordinator.decide_migration(balanced) is None
-        records = coordinator.drain_decision_records()
+            assert migration.decide(self._view(balanced)) == []
+        records = migration.drain_decision_records()
         assert all(r.is_noop for r in records)
 
 
@@ -300,3 +361,98 @@ class TestHierarchicalControlPlane:
     def test_validation(self):
         with pytest.raises(ValueError):
             HierarchicalControlPlane(interval_seconds=0.0)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_rejects_non_finite_interval(self, interval):
+        # NaN used to get as far as the first tick and fail inside the
+        # offered-utilization estimate.
+        with pytest.raises(ValueError, match="interval_seconds"):
+            HierarchicalControlPlane(interval_seconds=interval)
+
+
+def pinned_hierarchical_run():
+    """The golden-trace imbalance under the hierarchy: every policy acts.
+
+    Round-robin deals every 24 fps camera to node0, so the coordinator
+    migrates one off, node-local shedding tightens quotas on both nodes,
+    and the work-conserving uplink is re-weighted toward node0's demand.
+    """
+    cameras = [
+        CameraSpec(
+            camera_id=f"cam{i:03d}",
+            width=48,
+            height=32,
+            frame_rate=24.0 if i % 2 == 0 else 2.0,
+            num_frames=48 if i % 2 == 0 else 4,
+            scenario="urban_day",
+            seed=i,
+        )
+        for i in range(8)
+    ]
+    config = ShardingConfig(
+        num_nodes=2,
+        uplink_sharing="work_conserving",
+        node_config=FleetConfig(
+            num_workers=1,
+            queue_capacity=4,
+            drop_policy=DropPolicy.DROP_OLDEST,
+            service_time_scale=0.12,
+        ),
+    )
+    coordinator = ClusterCoordinator(
+        migration_config=MigrationConfig(
+            imbalance_threshold=1.1,
+            sustain_ticks=2,
+            cooldown_ticks=2,
+            cost_model=MigrationCostModel(blackout_seconds=0.2, cold_start_seconds=0.2),
+        )
+    )
+    timeline = MetricsTimeline()
+    report = ShardedFleetRuntime(
+        cameras,
+        config=config,
+        hierarchy=HierarchicalControlPlane(coordinator=coordinator),
+        timeline=timeline,
+    ).run()
+    return report, timeline
+
+
+# SHA-256 of the pinned run's control log, decision records, cluster
+# telemetry, coordination payloads, timeline and node reports.  Any change to
+# what the hierarchy decides, when, or how it stamps it moves this digest.
+HIERARCHY_DIGEST = "475254be8aef833f267d71f9371ae93b167a50ac0efaf00843ccd8facb215e6f"
+
+
+class TestHierarchyBytePin:
+    def test_every_cluster_policy_acts(self):
+        report, _ = pinned_hierarchical_run()
+        assert any("cluster/cluster_uplink: set_uplink_weights" in line for line in report.control_log)
+        assert report.migrations_performed >= 1
+        assert report.uplink_rebalances >= 1
+        assert report.shedding_interventions >= 1
+
+    def test_outputs_match_pinned_digest(self):
+        report, timeline = pinned_hierarchical_run()
+        payload = {
+            "control_log": report.control_log,
+            "decision_records": report.decision_records,
+            "telemetry": report.telemetry,
+            "payload_bytes": report.coordination_payload_bytes,
+            "timeline": timeline.to_jsonl(),
+            "nodes": [
+                {
+                    "node_id": node.node_id,
+                    "hosted": node.camera_ids,
+                    "migrated": [node.cameras_migrated_in, node.cameras_migrated_out],
+                    "reclaimed_bits": node.reclaimed_uplink_bits,
+                    "uplink_bps": node.uplink_allocation_bps,
+                    "cameras": {
+                        cid: dataclasses.asdict(c) for cid, c in node.report.cameras.items()
+                    },
+                    "telemetry": node.report.telemetry,
+                }
+                for node in report.nodes
+            ],
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == HIERARCHY_DIGEST

@@ -84,6 +84,21 @@ class TestLoopDriving:
         with pytest.raises(ValueError, match="interval_seconds"):
             ControlLoop([], interval_seconds=0.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), -0.25])
+    def test_interval_must_be_finite(self, interval):
+        # A NaN interval used to pass the positivity check and then hang
+        # the lockstep loop of any run it was attached to.
+        with pytest.raises(ValueError, match="interval_seconds"):
+            ControlLoop([], interval_seconds=interval)
+
+    def test_run_lockstep_rejects_nan_interval(self):
+        from repro.control.loop import run_lockstep
+
+        runtime = FleetRuntime(small_cameras(), config=FAST)
+        runtime.start()
+        with pytest.raises(ValueError, match="interval_seconds"):
+            run_lockstep({"node0": runtime}, float("nan"), lambda now: None)
+
 
 class TestClusterActuatorThreshold:
     def test_threshold_action_reaches_the_named_node(self):

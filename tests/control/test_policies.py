@@ -88,6 +88,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="non-negative"):
             MigrationCostModel(blackout_seconds=-0.1)
 
+    @pytest.mark.parametrize(
+        "gate",
+        ["imbalance_threshold", "overload_threshold", "headroom_threshold", "payback_factor"],
+    )
+    def test_migration_config_rejects_nan_gates(self, gate):
+        # A NaN gate makes every comparison false: the policy would be
+        # silently disabled instead of rejected.
+        with pytest.raises(ValueError, match=gate):
+            MigrationConfig(**{gate: float("nan")})
+
+    def test_cost_model_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MigrationCostModel(blackout_seconds=float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            MigrationCostModel(cold_start_seconds=float("nan"))
+
     def test_uplink_share_config(self):
         with pytest.raises(ValueError, match="smoothing"):
             UplinkShareConfig(smoothing=0.0)
@@ -95,6 +111,12 @@ class TestConfigValidation:
             UplinkShareConfig(min_share=1.0)
         with pytest.raises(ValueError, match="rebalance_threshold"):
             UplinkShareConfig(rebalance_threshold=0.0)
+        with pytest.raises(ValueError, match="rebalance_threshold"):
+            UplinkShareConfig(rebalance_threshold=float("nan"))
+        with pytest.raises(ValueError, match="smoothing"):
+            UplinkShareConfig(smoothing=float("nan"))
+        with pytest.raises(ValueError, match="min_share"):
+            UplinkShareConfig(min_share=float("nan"))
 
     def test_cost_model_cold_start(self):
         model = MigrationCostModel(blackout_seconds=0.2, cold_start_seconds=0.3)

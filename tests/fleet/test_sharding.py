@@ -37,6 +37,19 @@ class TestShardingConfig:
         with pytest.raises(ValueError, match="Unknown placement policy"):
             ShardedFleetRuntime(small_fleet(4), config=ShardingConfig(placement="nope"))
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0])
+    def test_scrape_interval_must_be_positive_and_finite(self, interval):
+        from repro.obs.timeline import MetricsTimeline
+
+        # A NaN scrape interval used to hang the timeline's lockstep run.
+        with pytest.raises(ValueError, match="scrape_interval"):
+            ShardedFleetRuntime(
+                small_fleet(4),
+                config=ShardingConfig(num_nodes=2, node_config=FAST_NODE),
+                timeline=MetricsTimeline(),
+                scrape_interval=interval,
+            )
+
     def test_duplicate_camera_ids_rejected_cluster_wide(self):
         cameras = small_fleet(4)
         with pytest.raises(ValueError, match="Duplicate"):
